@@ -4,11 +4,20 @@
 //! semantic checker against the versioned API registry — everything a
 //! Python interpreter would reject at import/run time.
 //!
-//! Stage 2 (**semantic**): the lowered circuit is executed on the ideal
-//! simulator and its outcome distribution compared to the reference
-//! circuit's within a total-variation tolerance. This mirrors the paper's
-//! "syntactically and semantically valid" criterion (Figure 3) and the
-//! §V-C split between the two accuracies.
+//! Stage 2 (**semantic**): the lowered circuit's ideal outcome distribution
+//! is compared to the reference circuit's within a total-variation
+//! tolerance. This mirrors the paper's "syntactically and semantically
+//! valid" criterion (Figure 3) and the §V-C split between the two
+//! accuracies.
+//!
+//! Pairs at or under [`GRADING_DENSE_QUBIT_CAP`] qubits compare *exact*
+//! distributions at [`TVD_TOLERANCE_EXACT`] — measure-at-end circuits and
+//! dynamic ones (mid-circuit measurement, resets, classical conditionals,
+//! e.g. teleportation) alike, the latter by branch enumeration
+//! ([`qsim::plan::CircuitPlan::branch_distribution`]). Only larger pairs,
+//! and dynamic circuits whose branches exceed
+//! [`qsim::plan::BRANCH_AMPLITUDE_BUDGET`], are sampled and compared at
+//! [`TVD_TOLERANCE_SAMPLED`].
 
 use qcir::circuit::Circuit;
 use qcir::diag::Diagnostic;
@@ -19,9 +28,10 @@ use qsim::job::JobSpec;
 
 /// Total-variation tolerance for exact-distribution comparisons.
 pub const TVD_TOLERANCE_EXACT: f64 = 0.05;
-/// Tolerance for sampled comparisons (mid-circuit measurement paths).
+/// Tolerance for sampled comparisons (pairs without exact distributions).
 pub const TVD_TOLERANCE_SAMPLED: f64 = 0.08;
-/// Shots used when sampling is required.
+/// Shots for sampled comparisons of dense-sized circuits (dynamic circuits
+/// past the branch-enumeration budget).
 pub const GRADING_SHOTS: u64 = 8192;
 /// Shots for sampled comparisons of circuits past the dense grading cap
 /// (per-shot tableau trajectories are pricier, and the statistical error at
@@ -119,10 +129,10 @@ pub fn grade_source(source: &str, spec: &TaskSpec) -> GradeDetail {
 }
 
 /// [`grade_source`] with an explicit simulator worker-thread count for the
-/// sampled comparison path. Results are thread-count independent; callers
-/// that already parallelize across tasks (e.g.
-/// [`crate::report::evaluate_parallel`]) pass 1 here so worker pools do not
-/// nest multiplicatively.
+/// sampled comparison path (exact comparisons are single-threaded).
+/// Results are thread-count independent; callers that already parallelize
+/// across tasks (e.g. [`crate::report::evaluate_parallel`]) pass 1 here so
+/// worker pools do not nest multiplicatively.
 pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usize) -> GradeDetail {
     // Stage 1: lex/parse.
     let program = match qcir::dsl::parse(source) {
@@ -179,22 +189,19 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
         };
     };
 
-    // Both branches below construct fresh `Executor`s per grade, but dense
-    // circuit lowering is amortized anyway: executors share the process-wide
-    // `qsim::plan` cache, so grading many candidates against one reference
-    // (or re-grading the same candidate) compiles each distinct circuit
-    // once and replays the fused plan afterwards.
+    // Dense lowering is amortized across grades: both paths share the
+    // process-wide `qsim::plan` cache, so grading many candidates against
+    // one reference (or re-grading the same candidate) compiles each
+    // distinct circuit once and replays the fused plan afterwards.
     let small = circuit.num_qubits() <= GRADING_DENSE_QUBIT_CAP
         && reference.num_qubits() <= GRADING_DENSE_QUBIT_CAP;
-    let exact = small
-        && qsim::exec::measures_only_at_end(&circuit)
-        && qsim::exec::measures_only_at_end(&reference);
-    let (candidate_dist, reference_dist, tolerance) = if exact {
-        (
-            Executor::ideal_distribution(&circuit, GRADING_SEED),
-            Executor::ideal_distribution(&reference, GRADING_SEED),
-            TVD_TOLERANCE_EXACT,
-        )
+    let exact = if small {
+        Executor::exact_distribution(&circuit).zip(Executor::exact_distribution(&reference))
+    } else {
+        None
+    };
+    let (candidate_dist, reference_dist, tolerance) = if let Some((c, r)) = exact {
+        (c, r, TVD_TOLERANCE_EXACT)
     } else {
         // Sampled path: [`grading_backend`] routes each circuit to its
         // class's engine (tableau for large Clifford, MPS for short-range
@@ -421,11 +428,43 @@ mod tests {
     }
 
     #[test]
-    fn teleport_grading_uses_sampled_path() {
+    fn teleport_grades_exactly() {
+        // Mid-circuit measurement plus classical corrections: graded from
+        // exact branch-enumerated distributions, so the gold source matches
+        // its reference to rounding, not to sampling noise.
         let spec = TaskSpec::Teleport {
             prep: qlm::spec::TeleportPrep::Plus,
         };
         let detail = grade_source(&gold_source(&spec), &spec);
         assert!(detail.passed(), "tvd {:?}", detail.tvd);
+        assert!(detail.tvd.expect("graded") <= 1e-12, "tvd {:?}", detail.tvd);
+    }
+
+    #[test]
+    fn teleported_marginals_equal_a_direct_measurement_of_the_prep() {
+        use qcir::gate::Gate;
+        use qlm::spec::TeleportPrep;
+        for (prep, gate) in [
+            (TeleportPrep::One, Gate::X),
+            (TeleportPrep::Plus, Gate::H),
+            (TeleportPrep::Ry(1.234), Gate::RY(1.234)),
+        ] {
+            let reference = TaskSpec::Teleport { prep }.reference_circuit();
+            let teleported = Executor::exact_distribution(&reference).expect("3 qubits");
+            assert!((teleported.total_mass() - 1.0).abs() < 1e-12);
+            let c2_one: f64 = teleported
+                .iter()
+                .filter(|(word, _)| word.bit(2))
+                .map(|(_, p)| p)
+                .sum();
+            let mut direct = Circuit::new(1, 1);
+            direct.push_gate(gate, &[0]).measure(0, 0);
+            let direct = Executor::exact_distribution(&direct).expect("1 qubit");
+            assert!(
+                (c2_one - direct.get(1)).abs() < 1e-12,
+                "{prep:?}: teleported {c2_one} vs direct {}",
+                direct.get(1)
+            );
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Measurement-outcome distributions.
 
 use crate::word::OutcomeWord;
+use rand::Rng;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -320,6 +321,50 @@ impl Distribution {
         let mut bc = 0.0;
         self.fold_joint(other, |pa, pb| bc += (pa * pb).sqrt());
         (1.0 - bc.min(1.0)).sqrt()
+    }
+}
+
+/// A frozen [`Distribution`] prepared for repeated sampling: outcomes in
+/// table order with their cumulative probabilities, so each draw is one
+/// uniform variate and a binary search. Drawing borrows the stored word,
+/// so recording a shot into [`Counts::record_word`] stays allocation-free
+/// for ≤ 64-bit registers.
+#[derive(Debug, Clone)]
+pub struct WordSampler {
+    words: Vec<OutcomeWord>,
+    cumulative: Vec<f64>,
+}
+
+impl WordSampler {
+    /// Builds the cumulative table of `dist`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dist` is empty.
+    pub fn new(dist: &Distribution) -> Self {
+        assert!(
+            !dist.probs.is_empty(),
+            "cannot sample an empty distribution"
+        );
+        let mut acc = 0.0;
+        let (words, cumulative) = dist
+            .iter()
+            .map(|(word, p)| {
+                acc += p;
+                (word.clone(), acc)
+            })
+            .unzip();
+        WordSampler { words, cumulative }
+    }
+
+    /// Draws one outcome. The variate is scaled by the table's total mass,
+    /// so distributions that sum to slightly less than 1 sample without
+    /// bias toward the last outcome.
+    pub fn draw(&self, rng: &mut impl Rng) -> &OutcomeWord {
+        let total = self.cumulative[self.cumulative.len() - 1];
+        let r = rng.gen::<f64>() * total;
+        let i = self.cumulative.partition_point(|&c| c <= r);
+        &self.words[i.min(self.words.len() - 1)]
     }
 }
 

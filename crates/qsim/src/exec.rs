@@ -12,7 +12,7 @@
 //! single-threaded run for every `n`.
 
 use crate::backend::{self, BackendChoice, BackendKind, BackendState, SimError};
-use crate::dist::{Counts, Distribution};
+use crate::dist::{Counts, Distribution, WordSampler};
 use crate::job::JobSpec;
 use crate::mps::{MpsSampler, MpsState};
 use crate::noise::NoiseModel;
@@ -24,7 +24,7 @@ use qcir::circuit::{Circuit, Op};
 use qugen_telemetry::metrics::{self as tmetrics, Counter, Histogram};
 use qugen_telemetry::trace;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -37,9 +37,12 @@ struct ExecMetrics {
     shots: &'static Counter,
     chunks: &'static Counter,
     batches: &'static Counter,
-    /// Exact (probability-vector) distribution computations; sampled
-    /// fallbacks count as ordinary jobs instead.
+    /// Exact distribution computations (measure-at-end readouts and
+    /// branch enumerations); sampled fallbacks count as ordinary jobs.
     distributions: &'static Counter,
+    /// Noiseless dense circuits whose branch enumeration exceeded
+    /// [`plan::BRANCH_AMPLITUDE_BUDGET`] and fell back to sampling.
+    branch_fallbacks: &'static Counter,
     job_us_dense: &'static Histogram,
     job_us_tableau: &'static Histogram,
     job_us_mps: &'static Histogram,
@@ -68,6 +71,7 @@ fn exec_metrics() -> &'static ExecMetrics {
         chunks: tmetrics::counter("exec.chunks"),
         batches: tmetrics::counter("exec.batches"),
         distributions: tmetrics::counter("exec.distributions"),
+        branch_fallbacks: tmetrics::counter("exec.branch_fallbacks"),
         job_us_dense: tmetrics::histogram("exec.job_us.dense"),
         job_us_tableau: tmetrics::histogram("exec.job_us.tableau"),
         job_us_mps: tmetrics::histogram("exec.job_us.mps"),
@@ -89,7 +93,9 @@ pub const SHOT_CHUNK: u64 = 1024;
 /// best-effort runs) or per job with [`JobSpec::with_budget`].
 pub const DEFAULT_TRUNCATION_BUDGET: f64 = 1e-2;
 
-/// Shots used by the sampled [`Executor::ideal_distribution`] fallback.
+/// Shots used by the sampled [`Executor::ideal_distribution`] fallback
+/// (large Clifford circuits, and dense circuits whose branch enumeration
+/// exceeds [`plan::BRANCH_AMPLITUDE_BUDGET`]).
 const DISTRIBUTION_SHOTS: u64 = 16_384;
 
 /// A reasonable worker count for parallel shot execution on this host.
@@ -254,11 +260,14 @@ impl ExecutorConfig {
 /// Executes circuits against a noise model on an automatically or
 /// explicitly chosen simulation backend.
 ///
-/// For noiseless circuits whose measurements all come last on the dense
-/// backend, the executor evolves the state once and samples outcomes from
-/// the exact distribution; otherwise it runs one Monte-Carlo trajectory per
-/// shot (required for mid-circuit measurement, conditionals, resets and
-/// noise). Clifford circuits dispatch to the stabilizer tableau per the
+/// For noiseless circuits on the dense backend, the executor evolves the
+/// state once and samples outcomes from the exact distribution: basis
+/// states of the final state vector when measurements all come last, and
+/// whole classical words of the [`CircuitPlan::branch_distribution`] when
+/// the circuit measures mid-circuit, resets or branches on classical bits.
+/// Noisy circuits, and dynamic circuits whose branches exceed
+/// [`plan::BRANCH_AMPLITUDE_BUDGET`], run one Monte-Carlo trajectory per
+/// shot. Clifford circuits dispatch to the stabilizer tableau per the
 /// rules in [`crate::backend`], which keeps large QEC workloads polynomial.
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -481,30 +490,8 @@ impl Executor {
                         let chunk_shots = (task.shots - chunk as u64 * SHOT_CHUNK).min(SHOT_CHUNK);
                         let mut rng = StdRng::seed_from_u64(derive_seed(task.seed, chunk as u64));
                         let counts = match &task.plan {
-                            BatchPlan::Sampling {
-                                sampler,
-                                measure_map,
-                            } => sample_chunk(
-                                task.num_clbits,
-                                chunk_shots,
-                                &mut rng,
-                                measure_map,
-                                |rng, basis| sampler.draw_into(rng, basis),
-                            ),
-                            BatchPlan::PlannedTrajectory { plan } => {
-                                let ctx = states[t].get_or_insert_with(|| {
-                                    WorkerCtx::Dense(StateVector::zero(plan.num_qubits()))
-                                });
-                                let WorkerCtx::Dense(sv) = ctx else {
-                                    unreachable!("planned tasks only build dense contexts")
-                                };
-                                plan_trajectory_chunk(
-                                    plan,
-                                    sv,
-                                    task.num_clbits,
-                                    chunk_shots,
-                                    &mut rng,
-                                )
+                            BatchPlan::Sampling(sampler) => {
+                                sample_chunk(sampler, task.num_clbits, chunk_shots, &mut rng)
                             }
                             BatchPlan::NoisyReplay { plan } => {
                                 let ctx = states[t].get_or_insert_with(|| {
@@ -625,17 +612,24 @@ impl Executor {
                 let plan = self.plan_for(circuit);
                 let mut sv = StateVector::zero(circuit.num_qubits());
                 plan.apply_unitary(&mut sv);
-                BatchPlan::Sampling {
-                    sampler: Sampler::Dense(sv),
+                BatchPlan::Sampling(Sampler::Dense {
+                    sv,
                     measure_map: plan.measure_map().to_vec(),
-                }
+                })
             }
             // Noiseless dense circuits with mid-circuit measurement,
-            // conditionals or resets: per-shot trajectories, but driven by
-            // the cached fused plan instead of per-gate classification.
-            BackendKind::Dense if !self.config.noise.is_noisy() => BatchPlan::PlannedTrajectory {
-                plan: self.plan_for(circuit),
-            },
+            // conditionals or resets: whole classical words drawn from the
+            // exact branch distribution, or per-shot engine trajectories
+            // when the branches exceed the amplitude budget.
+            BackendKind::Dense if !self.config.noise.is_noisy() => {
+                match self.plan_for(circuit).branch_distribution() {
+                    Some(dist) => BatchPlan::Sampling(Sampler::Words(WordSampler::new(&dist))),
+                    None => {
+                        exec_metrics().branch_fallbacks.inc();
+                        BatchPlan::Trajectory { kind, circuit }
+                    }
+                }
+            }
             // Noisy dense circuits: gate kernels are precompiled once into
             // segments split at the live noise attachment sites and
             // replayed per shot — bit-identical (state, clbits, RNG
@@ -652,10 +646,10 @@ impl Executor {
             BackendKind::Mps { max_bond } if sampling_ok => {
                 let (state, measure_map) = evolve_mps_prefix(circuit, max_bond);
                 check_truncation(budget, max_bond, state.truncation_error())?;
-                BatchPlan::Sampling {
-                    sampler: Sampler::Mps(state.into_sampler()),
+                BatchPlan::Sampling(Sampler::Mps {
+                    mps: state.into_sampler(),
                     measure_map,
-                }
+                })
             }
             _ => BatchPlan::Trajectory { kind, circuit },
         };
@@ -674,35 +668,13 @@ impl Executor {
     /// seeding, so their counts are bit-identical).
     fn run_task(&self, task: &BatchTask) -> Result<Counts, SimError> {
         match &task.plan {
-            BatchPlan::Sampling {
-                sampler,
-                measure_map,
-            } => Ok(self.chunked_counts(
+            BatchPlan::Sampling(sampler) => Ok(self.chunked_counts(
                 task.num_clbits,
                 task.shots,
                 task.seed,
                 || (),
-                |(), chunk_shots, rng| {
-                    sample_chunk(
-                        task.num_clbits,
-                        chunk_shots,
-                        rng,
-                        measure_map,
-                        |rng, basis| sampler.draw_into(rng, basis),
-                    )
-                },
+                |(), chunk_shots, rng| sample_chunk(sampler, task.num_clbits, chunk_shots, rng),
                 |()| {},
-                &AtomicBool::new(false),
-            )),
-            BatchPlan::PlannedTrajectory { plan } => Ok(self.chunked_counts(
-                task.num_clbits,
-                task.shots,
-                task.seed,
-                || StateVector::zero(plan.num_qubits()),
-                |sv, chunk_shots, rng| {
-                    plan_trajectory_chunk(plan, sv, task.num_clbits, chunk_shots, rng)
-                },
-                |_| {},
                 &AtomicBool::new(false),
             )),
             BatchPlan::NoisyReplay { plan } => Ok(self.chunked_counts(
@@ -740,6 +712,7 @@ impl Executor {
         let chunks = task.shots.div_ceil(SHOT_CHUNK);
         let span = trace::span("executor", "job")
             .label("backend", task.kind.name())
+            .label("path", task.plan.path())
             .int("shots", task.shots as i128)
             .int("chunks", chunks as i128);
         let start = Instant::now();
@@ -968,10 +941,11 @@ impl Executor {
     }
 
     /// The noiseless outcome distribution: exact for dense-sized circuits
-    /// whose measurements all come last, estimated from
-    /// 16384 auto-dispatched shots otherwise (mid-circuit measurement,
-    /// conditionals, or Clifford circuits past the dense cap). The sampled
-    /// fallback runs single-threaded; pass a worker count through
+    /// (see [`Executor::exact_distribution`]), estimated from 16384
+    /// auto-dispatched shots otherwise (Clifford circuits past the dense
+    /// cap, and dynamic circuits whose branches exceed
+    /// [`plan::BRANCH_AMPLITUDE_BUDGET`]). The sampled fallback runs
+    /// single-threaded; pass a worker count through
     /// [`Executor::try_ideal_distribution_threaded`] when the fallback
     /// workload is large.
     ///
@@ -994,49 +968,67 @@ impl Executor {
         seed: u64,
         threads: usize,
     ) -> Result<Distribution, SimError> {
-        if measures_only_at_end(circuit) && circuit.num_qubits() <= backend::DENSE_QUBIT_CAP {
-            let span = if tmetrics::enabled() || trace::enabled() {
-                exec_metrics().distributions.inc();
-                Some(
-                    trace::span("executor", "distribution")
-                        .label("backend", "exact")
-                        .int("qubits", circuit.num_qubits() as i128),
-                )
-            } else {
-                None
-            };
-            let plan = plan::shared_cache()
-                .lock()
-                .expect("plan cache poisoned")
-                .get_or_compile(circuit);
-            let mut sv = StateVector::zero(circuit.num_qubits());
-            plan.apply_unitary(&mut sv);
-            let mut dist = Distribution::new(circuit.num_clbits());
-            let mut word = OutcomeWord::zero();
-            for (basis, p) in sv.probabilities().into_iter().enumerate() {
-                if p <= 1e-15 {
-                    continue;
-                }
-                word.clear();
-                for &(q, c) in plan.measure_map() {
-                    if (basis >> q) & 1 == 1 {
-                        word.set_bit(c, true);
-                    }
-                }
-                let existing = dist.get_word(&word);
-                dist.set(word.clone(), existing + p);
-            }
-            if let Some(span) = span {
-                span.int("ok", 1).finish();
-            }
-            Ok(dist)
-        } else {
-            ExecutorConfig::new()
-                .threads(threads)
-                .build()
-                .try_run(circuit, DISTRIBUTION_SHOTS, seed)
-                .map(|counts| counts.to_distribution())
+        if let Some(dist) = Self::exact_distribution(circuit) {
+            return Ok(dist);
         }
+        let span = (tmetrics::enabled() || trace::enabled()).then(|| {
+            trace::span("executor", "distribution")
+                .label("path", "sampled")
+                .int("qubits", circuit.num_qubits() as i128)
+        });
+        let result = ExecutorConfig::new()
+            .threads(threads)
+            .build()
+            .try_run(circuit, DISTRIBUTION_SHOTS, seed)
+            .map(|counts| counts.to_distribution());
+        if let Some(span) = span {
+            span.int("ok", result.is_ok() as i128).finish();
+        }
+        result
+    }
+
+    /// The exact noiseless outcome distribution of a dense-sized circuit,
+    /// from one evolution of its cached plan
+    /// ([`CircuitPlan::branch_distribution`]): a single readout for
+    /// measure-at-end circuits, branch enumeration for circuits with
+    /// mid-circuit measurement, resets or conditionals.
+    ///
+    /// Returns `None` past [`backend::DENSE_QUBIT_CAP`] or when the
+    /// branches exceed [`plan::BRANCH_AMPLITUDE_BUDGET`].
+    pub fn exact_distribution(circuit: &Circuit) -> Option<Distribution> {
+        if circuit.num_qubits() > backend::DENSE_QUBIT_CAP {
+            return None;
+        }
+        let traced = tmetrics::enabled() || trace::enabled();
+        let span = traced.then(|| {
+            let path = if measures_only_at_end(circuit) {
+                "exact"
+            } else {
+                "branch"
+            };
+            trace::span("executor", "distribution")
+                .label("path", path)
+                .int("qubits", circuit.num_qubits() as i128)
+        });
+        let plan = plan::shared_cache()
+            .lock()
+            .expect("plan cache poisoned")
+            .get_or_compile(circuit);
+        let enumerated = plan.enumerate_branches();
+        if traced {
+            let m = exec_metrics();
+            match enumerated {
+                Some(_) => m.distributions.inc(),
+                None => m.branch_fallbacks.inc(),
+            }
+        }
+        if let Some(span) = span {
+            let branches = enumerated.as_ref().map_or(0, |(_, n)| *n);
+            span.int("branches", branches as i128)
+                .int("ok", enumerated.is_some() as i128)
+                .finish();
+        }
+        enumerated.map(|(dist, _)| dist)
     }
 
     /// Panicking wrapper around [`Executor::try_ideal_distribution`].
@@ -1074,16 +1066,9 @@ impl Executor {
 
 /// One prepared batch task: how its chunks execute.
 enum BatchPlan<'c> {
-    /// Sampling fast path: the unitary prefix evolved once, shared
-    /// read-only; chunks draw whole basis words from the [`Sampler`].
-    Sampling {
-        sampler: Sampler,
-        measure_map: Vec<(usize, usize)>,
-    },
-    /// Monte-Carlo path on a compiled plan: noiseless dense circuits with
-    /// mid-circuit measurement/conditionals/resets. Each worker lazily
-    /// builds its own state vector; the plan itself is shared read-only.
-    PlannedTrajectory { plan: Arc<CircuitPlan> },
+    /// Sampling fast path: the exact distribution prepared once, shared
+    /// read-only; chunks draw whole words from the [`Sampler`].
+    Sampling(Sampler),
     /// Monte-Carlo path on a noisy replay plan: dense circuits under a
     /// noisy model replay precompiled kernel segments between noise
     /// insertion points, bit-identical to per-gate dispatch.
@@ -1095,22 +1080,35 @@ enum BatchPlan<'c> {
     },
 }
 
-/// A frozen measure-at-end prefix both sampling engines draw shots from —
-/// the single `draw` seam the dense and MPS fast paths share, so the
-/// executor has one sampling arm instead of twin dense/MPS copies.
+/// A frozen exact distribution the sampling fast path draws shots from —
+/// the single seam the dense, MPS and branch-enumerated paths share, so
+/// the executor has one sampling arm instead of per-engine copies.
 enum Sampler {
-    /// Dense state vector: exact index sampling from `2^n` probabilities.
-    Dense(StateVector),
-    /// MPS train with precomputed right environments: `O(n·χ²)` per shot.
-    Mps(MpsSampler),
+    /// Dense state vector of a measure-at-end prefix: exact index sampling
+    /// from `2^n` probabilities, read out through the `(qubit, clbit)`
+    /// measurement map.
+    Dense {
+        sv: StateVector,
+        measure_map: Vec<(usize, usize)>,
+    },
+    /// MPS train with precomputed right environments: `O(n·χ²)` per shot,
+    /// read out through the measurement map.
+    Mps {
+        mps: MpsSampler,
+        measure_map: Vec<(usize, usize)>,
+    },
+    /// Classical words of a noiseless dynamic circuit's exact
+    /// [`CircuitPlan::branch_distribution`], drawn whole.
+    Words(WordSampler),
 }
 
-impl Sampler {
-    /// Draws one basis word (bit `i` = qubit `i`) into the scratch word.
-    fn draw_into(&self, rng: &mut StdRng, basis: &mut OutcomeWord) {
+impl BatchPlan<'_> {
+    /// The execution path's trace label.
+    fn path(&self) -> &'static str {
         match self {
-            Sampler::Dense(sv) => basis.assign_u64(sv.sample(rng) as u64),
-            Sampler::Mps(sampler) => sampler.sample_into(rng, basis),
+            BatchPlan::Sampling(_) => "sampling",
+            BatchPlan::NoisyReplay { .. } => "noisy_replay",
+            BatchPlan::Trajectory { .. } => "trajectory",
         }
     }
 }
@@ -1151,30 +1149,11 @@ fn check_truncation(budget: f64, max_bond: usize, error_bound: f64) -> Result<()
 }
 
 /// Per-worker reusable simulation context in the batch loop: a boxed
-/// backend engine for unfused trajectories, or a bare state vector for
-/// plan-driven ones.
+/// backend engine for engine trajectories, or a bare state vector for
+/// noisy replays.
 enum WorkerCtx {
     Engine(Box<dyn BackendState>),
     Dense(StateVector),
-}
-
-/// One chunk of plan-driven noiseless trajectories on a reusable state
-/// vector; the outcome scratch word is reused across the chunk's shots, so
-/// ≤ 64-bit registers record without heap allocation.
-fn plan_trajectory_chunk(
-    plan: &CircuitPlan,
-    sv: &mut StateVector,
-    num_clbits: usize,
-    chunk_shots: u64,
-    rng: &mut StdRng,
-) -> Counts {
-    let mut counts = Counts::new(num_clbits);
-    let mut word = OutcomeWord::zero();
-    for _ in 0..chunk_shots {
-        plan.run_trajectory(sv, rng, &mut word);
-        counts.record_word(&word);
-    }
-    counts
 }
 
 /// One chunk of noisy replay trajectories on a reusable state vector: the
@@ -1213,26 +1192,38 @@ fn evolve_mps_prefix(circuit: &Circuit, max_bond: usize) -> (MpsState, Vec<(usiz
     (state, measure_map)
 }
 
-/// Draws one chunk of basis words from `draw` and packs them into classical
-/// outcome words through the measurement map. Both scratch words are reused
-/// across the chunk's shots, keeping ≤ 64-bit registers allocation-free.
+/// Draws one chunk of shots from `sampler`. Basis words (bit `i` = qubit
+/// `i`) are packed into classical words through the measurement map,
+/// last writer winning when two measurements share a clbit; branch-table
+/// words are recorded as drawn. Both scratch words are reused across the
+/// chunk's shots, keeping ≤ 64-bit registers allocation-free.
 fn sample_chunk(
+    sampler: &Sampler,
     num_clbits: usize,
     chunk_shots: u64,
     rng: &mut StdRng,
-    measure_map: &[(usize, usize)],
-    draw: impl Fn(&mut StdRng, &mut OutcomeWord),
 ) -> Counts {
     let mut counts = Counts::new(num_clbits);
     let mut basis = OutcomeWord::zero();
     let mut word = OutcomeWord::zero();
     for _ in 0..chunk_shots {
-        draw(rng, &mut basis);
+        let measure_map = match sampler {
+            Sampler::Words(table) => {
+                counts.record_word(table.draw(rng));
+                continue;
+            }
+            Sampler::Dense { sv, measure_map } => {
+                basis.assign_u64(sv.sample(rng) as u64);
+                measure_map
+            }
+            Sampler::Mps { mps, measure_map } => {
+                mps.sample_into(rng, &mut basis);
+                measure_map
+            }
+        };
         word.clear();
         for &(q, c) in measure_map {
-            if basis.bit(q) {
-                word.set_bit(c, true);
-            }
+            word.set_bit(c, basis.bit(q));
         }
         counts.record_word(&word);
     }
@@ -1272,22 +1263,14 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
 /// Samples `n` outcomes from an arbitrary discrete distribution (utility for
 /// synthetic workloads).
 pub fn sample_distribution(dist: &Distribution, n: u64, seed: u64) -> Counts {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pairs: Vec<(&OutcomeWord, f64)> = dist.iter().collect();
-    let zero = OutcomeWord::zero();
     let mut counts = Counts::new(dist.num_clbits());
+    if n == 0 || dist.iter().next().is_none() {
+        return counts;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let table = WordSampler::new(dist);
     for _ in 0..n {
-        let r: f64 = rng.gen();
-        let mut acc = 0.0;
-        let mut chosen = pairs.last().map(|&(o, _)| o).unwrap_or(&zero);
-        for &(o, p) in &pairs {
-            acc += p;
-            if r < acc {
-                chosen = o;
-                break;
-            }
-        }
-        counts.record_word(chosen);
+        counts.record_word(table.draw(&mut rng));
     }
     counts
 }
@@ -1684,10 +1667,10 @@ mod tests {
     }
 
     #[test]
-    fn planned_trajectories_match_the_unfused_engine_path() {
-        // Noiseless dense with mid-circuit measurement: runs on the
-        // plan-driven trajectory path. A zero-rate "noisy" model forces the
-        // same circuit down the unfused noisy replay path; the
+    fn branch_sampling_matches_the_unfused_engine_path() {
+        // Noiseless dense with mid-circuit measurement: samples whole words
+        // from the branch distribution. A zero-rate "noisy" model forces
+        // the same circuit down the unfused noisy replay path; the
         // distributions must agree.
         let mut qc = Circuit::new(3, 3);
         qc.h(0).t(0).measure(0, 0);
@@ -1705,14 +1688,26 @@ mod tests {
             .unwrap()
             .to_distribution();
         assert!(planned.tvd(&unfused) < 0.05);
-        // The planned path stays bit-identical across thread counts.
+        // The branch-sampling path stays bit-identical across thread
+        // counts, on the single-job and the batch path.
         let serial = Executor::ideal().try_run(&qc, 5000, 32).unwrap();
-        let parallel = ExecutorConfig::new()
-            .threads(4)
-            .build()
-            .try_run(&qc, 5000, 32)
-            .unwrap();
-        assert_eq!(serial, parallel);
+        for threads in [2usize, 4] {
+            let exec = ExecutorConfig::new().threads(threads).build();
+            assert_eq!(
+                exec.try_run(&qc, 5000, 32).unwrap(),
+                serial,
+                "{threads} threads"
+            );
+            let batch = exec.try_run_batch(&[
+                JobSpec::new(qc.clone(), 5000, 32),
+                JobSpec::new(bell(), 100, 1),
+            ]);
+            assert_eq!(
+                batch[0].as_ref().unwrap(),
+                &serial,
+                "batch, {threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -1924,6 +1919,194 @@ mod tests {
                 counts, expected,
                 "noisy replay must be bit-identical at {threads} thread(s)"
             );
+        }
+    }
+
+    /// `x q0; measure q0 -> c0; measure q1 -> c0`: the second write to c0
+    /// must win (it reads `q1 = 0`).
+    fn overwritten_clbit() -> Circuit {
+        let mut qc = Circuit::new(2, 1);
+        qc.x(0).measure(0, 0).measure(1, 0);
+        qc
+    }
+
+    #[test]
+    fn a_rewritten_clbit_keeps_its_last_write_on_every_path() {
+        let qc = overwritten_clbit();
+        let exact = Executor::try_ideal_distribution(&qc, 0).unwrap();
+        assert!((exact.get(0) - 1.0).abs() < 1e-12, "exact: {exact:?}");
+        let mut zero = NoiseModel::uniform_depolarizing(0.0);
+        zero.idle_error = 0.0;
+        zero.readout_error = 1e-300;
+        let runs = [
+            ("sampling", Executor::ideal()),
+            (
+                "mps sampling",
+                on_backend(BackendChoice::Mps { max_bond: 4 }),
+            ),
+            ("trajectory", Executor::with_noise(zero)),
+            ("tableau", on_backend(BackendChoice::Tableau)),
+        ];
+        for (path, exec) in runs {
+            let counts = exec.try_run(&qc, 1000, 5).unwrap();
+            assert_eq!(counts.count(0), 1000, "{path}: {counts}");
+        }
+        // The engine trajectory path, forced directly.
+        let counts = Executor::ideal()
+            .run_trajectories(BackendKind::Dense, &qc, 1000, 5, f64::INFINITY)
+            .unwrap();
+        assert_eq!(counts.count(0), 1000, "engine trajectory: {counts}");
+        // A rewrite after a mid-circuit measurement that a condition reads.
+        let mut dynamic = Circuit::new(2, 1);
+        dynamic.x(0).measure(0, 0);
+        dynamic.cond_gate(Gate::X, &[1], 0, true);
+        dynamic.x(1).measure(1, 0);
+        let exact = Executor::try_ideal_distribution(&dynamic, 0).unwrap();
+        assert!((exact.get(0) - 1.0).abs() < 1e-12, "exact: {exact:?}");
+        assert_eq!(
+            Executor::ideal()
+                .try_run(&dynamic, 500, 6)
+                .unwrap()
+                .count(0),
+            500
+        );
+    }
+
+    #[test]
+    fn over_budget_dynamic_circuits_fall_back_to_engine_trajectories() {
+        // 8 qubits and seven genuine mid-circuit splits: 2^7 branches x
+        // 2^8 amplitudes is past the branch budget, so the run takes the
+        // per-shot engine path and the exact distribution falls back to
+        // sampling.
+        let n = 8;
+        let mut qc = Circuit::new(n, 3);
+        qc.x(0).t(3); // T keeps it off the tableau
+        for _ in 0..7 {
+            qc.h(1).measure(1, 1);
+        }
+        qc.cond_gate(Gate::X, &[2], 1, true);
+        for q in 3..n {
+            qc.h(q);
+        }
+        qc.measure(0, 0).measure(2, 2);
+        assert!(CircuitPlan::compile(&qc).branch_distribution().is_none());
+        let before = exec_metrics().branch_fallbacks.get();
+        let counts = Executor::ideal().try_run(&qc, 600, 3).unwrap();
+        assert_eq!(counts.shots(), 600);
+        // c0 is always 1 and c2 always copies c1.
+        assert_eq!(counts.count(0b001) + counts.count(0b111), 600, "{counts}");
+        let ones = counts.count(0b111) as f64 / 600.0;
+        assert!(
+            (ones - 0.5).abs() < 5.0 * (0.25f64 / 600.0).sqrt(),
+            "p(c1) = {ones}"
+        );
+        let dist = Executor::try_ideal_distribution(&qc, 4).unwrap();
+        assert!((dist.get(0b001) + dist.get(0b111) - 1.0).abs() < 1e-12);
+        assert!((dist.get(0b111) - 0.5).abs() < 0.05);
+        if tmetrics::enabled() {
+            assert!(exec_metrics().branch_fallbacks.get() >= before + 2);
+        }
+    }
+
+    /// Raw draw for one op of a random dynamic circuit: (kind, gate,
+    /// angle, operand draws, clbit draw, condition value).
+    type DynamicOp = (u8, u8, f64, Vec<usize>, usize, u8);
+
+    /// Builds the noiseless dynamic circuit a raw draw describes on `n`
+    /// qubits (and `n` clbits, so clbits collide and get rewritten), ending
+    /// with a full measurement. Conditions read the clbit the latest
+    /// measurement wrote, when there is one, as in teleportation.
+    fn build_dynamic(n: usize, ops: &[DynamicOp]) -> Circuit {
+        let mut qc = Circuit::new(n, n);
+        let mut written: Vec<usize> = Vec::new();
+        for (kind, gate, angle, raw, clbit, value) in ops {
+            let gate = match gate {
+                0 => Gate::H,
+                1 => Gate::T,
+                2 => Gate::RY(*angle),
+                3 => Gate::U(*angle, 0.3, -*angle),
+                4 if n > 1 => Gate::CX,
+                5 if n > 1 => Gate::CRY(*angle),
+                _ => Gate::SX,
+            };
+            let a = raw[0] % n;
+            let b = (a + 1 + raw[1] % (n - 1).max(1)) % n;
+            let qubits: Vec<usize> = if gate.num_qubits() == 2 {
+                vec![a, b]
+            } else {
+                vec![a]
+            };
+            match kind {
+                0 | 1 => {
+                    qc.measure(a, clbit % n);
+                    written.push(clbit % n);
+                }
+                2 => {
+                    qc.reset(a);
+                }
+                3 => {
+                    let read = written.last().copied().unwrap_or(clbit % n);
+                    qc.cond_gate(gate, &qubits, read, *value == 1);
+                }
+                4 => {
+                    // Teleport motif: rotate `a` off the Z axis, measure it,
+                    // correct `b` on the outcome.
+                    qc.ry(*angle, a).measure(a, clbit % n);
+                    written.push(clbit % n);
+                    qc.cond_gate(Gate::X, &[b], clbit % n, *value == 1);
+                }
+                _ => {
+                    qc.push_gate(gate, &qubits);
+                }
+            }
+        }
+        qc.measure_all();
+        qc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Branch enumeration is exact: its mass is 1, and every outcome's
+        /// probability lies within a 5σ binomial bound (plus one count of
+        /// discreteness) of a 20k-shot forced-dense engine trajectory run.
+        #[test]
+        fn branch_distributions_match_engine_trajectories(
+            n in 1usize..=5,
+            ops in proptest::prop::collection::vec(
+                (
+                    0u8..10,
+                    0u8..7,
+                    -3.2f64..3.2,
+                    proptest::prop::collection::vec(0..usize::MAX, 2),
+                    0..usize::MAX,
+                    0u8..2,
+                ),
+                1..14,
+            ),
+            seed in 0u64..1000,
+        ) {
+            let qc = build_dynamic(n, &ops);
+            let exact = CircuitPlan::compile(&qc)
+                .branch_distribution()
+                .expect("5 qubits stay far inside the branch budget");
+            proptest::prop_assert!((exact.total_mass() - 1.0).abs() < 1e-12, "mass {}", exact.total_mass());
+            let shots = 20_000u64;
+            let sampled = Executor::ideal()
+                .run_trajectories(BackendKind::Dense, &qc, shots, seed, f64::INFINITY)
+                .unwrap();
+            let n_f = shots as f64;
+            let mut outcomes: Vec<OutcomeWord> = exact.iter().map(|(w, _)| w.clone()).collect();
+            outcomes.extend(sampled.iter().map(|(w, _)| w.clone()));
+            for word in outcomes {
+                let p = exact.get_word(&word);
+                let f = sampled.count_word(&word) as f64 / n_f;
+                let bound = 5.0 * (p * (1.0 - p) / n_f).sqrt() + 1.0 / n_f;
+                proptest::prop_assert!(
+                    (f - p).abs() <= bound,
+                    "{qc:?}: outcome {word:?} exact {p} sampled {f} (bound {bound})"
+                );
+            }
         }
     }
 }

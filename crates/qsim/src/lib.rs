@@ -26,14 +26,20 @@
 //! * [`plan`] — the compile step: lowers a circuit once into a fused,
 //!   matrix-precomputed [`plan::CircuitPlan`] (cost-model-gated up to 8×8
 //!   superblocks), cached in a process-wide LRU keyed by circuit content
-//!   hash, so repeated runs skip gate classification entirely.
+//!   hash, so repeated runs skip gate classification entirely. Plans also
+//!   enumerate measurement branches
+//!   ([`plan::CircuitPlan::branch_distribution`]): the exact outcome
+//!   distribution of a noiseless circuit with mid-circuit measurement,
+//!   resets or classical conditionals, from one evolution.
 //! * [`replay`] — the noisy twin of [`plan`]: per-gate kernels
 //!   precompiled once and replayed in segments between noise insertion
 //!   points, bit-identical to per-gate dispatch.
-//! * [`exec`] — the circuit executor: shot sampling, trajectories,
-//!   conditionals and mid-circuit measurement, driven by cached plans on
-//!   both the noiseless and the noisy dense paths. Configured through the
-//!   typed [`exec::ExecutorConfig`].
+//! * [`exec`] — the circuit executor, configured through the typed
+//!   [`exec::ExecutorConfig`]. Noiseless dense circuits, dynamic ones
+//!   included, sample shots from an exact distribution computed once
+//!   from the cached plan; noisy dense circuits replay precompiled
+//!   segments per shot; tableau and MPS runs, and dynamic circuits past
+//!   the branch budget, run one engine trajectory per shot.
 //! * [`job`] — the typed job vocabulary ([`job::JobSpec`] /
 //!   [`job::JobStatus`] / [`job::JobResult`]) shared by in-process batch
 //!   calls, the `qugen-serve` daemon and future shard coordinators, with

@@ -16,6 +16,10 @@
 //!   pair of two-qubit blocks into an 8×8 [`PlannedOp::Dense3`] triple
 //!   ([`crate::kernels::apply_dense3`]): one sweep over the state where
 //!   the unfused circuit paid several.
+//! * [`CircuitPlan::branch_distribution`] evolves a plan once into the
+//!   exact outcome distribution of a noiseless circuit with mid-circuit
+//!   measurement, resets or classical conditionals, branching the state on
+//!   each mid-circuit outcome (bounded by [`BRANCH_AMPLITUDE_BUDGET`]).
 //! * [`PlanCache`] memoizes plans in an LRU keyed by [`fingerprint`]
 //!   (a 128-bit content hash of the circuit), so the executor's repeated
 //!   runs of identical circuits — the grader's candidate/reference pairs,
@@ -71,6 +75,7 @@
 //! fresh, while the old entry ages out of the LRU ([`PLAN_CACHE_CAPACITY`]
 //! entries).
 
+use crate::dist::Distribution;
 use crate::kernels;
 use crate::noise::NoiseModel;
 use crate::replay::{noise_signature, NoisyPlan};
@@ -81,7 +86,6 @@ use qcir::gate::{Gate, GateKind};
 use qcir::math::C64;
 use qugen_telemetry::metrics::Counter;
 use qugen_telemetry::{metrics, trace};
-use rand::Rng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -311,7 +315,7 @@ pub enum PlannedOp {
     },
     /// A classically conditioned op: applied iff `clbit` last read `value`.
     /// The inner op is precompiled but never fused (its application is only
-    /// known per trajectory).
+    /// known per measurement branch).
     Cond {
         /// The precompiled conditional operation.
         op: Box<PlannedOp>,
@@ -320,6 +324,52 @@ pub enum PlannedOp {
         /// Value the bit must hold for the op to apply.
         value: bool,
     },
+}
+
+impl PlannedOp {
+    /// Calls `f` on every qubit the op acts on (a `Cond` reports its inner
+    /// op's qubits).
+    fn for_each_qubit(&self, mut f: impl FnMut(usize)) {
+        match self {
+            PlannedOp::Diag1 { qubit, .. }
+            | PlannedOp::FlipX { qubit }
+            | PlannedOp::Dense1 { qubit, .. }
+            | PlannedOp::Measure { qubit, .. }
+            | PlannedOp::Reset { qubit } => f(*qubit),
+            PlannedOp::Diag2 { hi, lo, .. } | PlannedOp::Dense2 { hi, lo, .. } => {
+                f(*hi);
+                f(*lo);
+            }
+            PlannedOp::CFlipX { control, target }
+            | PlannedOp::CDense1 {
+                control, target, ..
+            } => {
+                f(*control);
+                f(*target);
+            }
+            PlannedOp::Swap { a, b } => {
+                f(*a);
+                f(*b);
+            }
+            PlannedOp::Dense3 { q2, q1, q0, .. } => {
+                f(*q2);
+                f(*q1);
+                f(*q0);
+            }
+            PlannedOp::Ccx { c0, c1, target } => {
+                f(*c0);
+                f(*c1);
+                f(*target);
+            }
+            PlannedOp::CSwap { control, a, b } => {
+                f(*control);
+                f(*a);
+                f(*b);
+            }
+            PlannedOp::DenseK { qubits, .. } => qubits.iter().copied().for_each(f),
+            PlannedOp::Cond { op, .. } => op.for_each_qubit(f),
+        }
+    }
 }
 
 /// An executable lowering of one circuit: flat op list, precomputed
@@ -472,8 +522,8 @@ impl CircuitPlan {
     /// # Panics
     ///
     /// Panics on plans containing resets or conditional gates (their
-    /// semantics need a per-trajectory run; use
-    /// [`CircuitPlan::run_trajectory`]).
+    /// semantics branch on measurement outcomes; use
+    /// [`CircuitPlan::branch_distribution`]).
     pub fn apply_unitary(&self, sv: &mut StateVector) {
         for op in &self.ops {
             match op {
@@ -486,34 +536,185 @@ impl CircuitPlan {
         }
     }
 
-    /// Runs one full (noiseless) Monte-Carlo trajectory: reinitializes the
-    /// state, walks the plan, and writes the classical outcome into the
-    /// caller's scratch word (cleared first). The per-shot twin of the
-    /// executor's per-gate trajectory loop, minus all gate classification.
-    pub fn run_trajectory(
-        &self,
-        sv: &mut StateVector,
-        rng: &mut impl Rng,
-        clbits: &mut OutcomeWord,
-    ) {
-        sv.reinit();
-        clbits.clear();
-        for op in &self.ops {
+    /// The exact noiseless outcome distribution over classical words, by
+    /// branch enumeration (the principle of deferred measurement, Nielsen &
+    /// Chuang §4.4).
+    ///
+    /// The plan is evolved once. Each mid-circuit `Measure` or `Reset`
+    /// splits every live branch into its two outcomes, weighted by
+    /// [`StateVector::prob_one`]; branches of (numerically) zero weight are
+    /// dropped, so deterministic measurements never split. A `Cond` op
+    /// applies only on branches whose classical word matches. Terminal
+    /// measurements — those whose qubit no later op touches and whose
+    /// clbit nothing later reads or rewrites — are read out from each
+    /// branch's final probabilities, so measure-at-end circuits are a
+    /// single branch. Every clbit write is last-writer-wins, as on the
+    /// trajectory engines.
+    ///
+    /// Returns `None` when a split would leave more than
+    /// [`BRANCH_AMPLITUDE_BUDGET`] live amplitudes (branches × `2^n`); a
+    /// single unsplit branch is always allowed.
+    pub fn branch_distribution(&self) -> Option<Distribution> {
+        self.enumerate_branches().map(|(dist, _)| dist)
+    }
+
+    /// [`CircuitPlan::branch_distribution`] plus the number of branches
+    /// alive at the final readout.
+    pub(crate) fn enumerate_branches(&self) -> Option<(Distribution, usize)> {
+        let terminal = self.terminal_measures();
+        let dim = 1usize << self.num_qubits;
+        let mut branches = vec![Branch {
+            sv: StateVector::zero(self.num_qubits),
+            weight: 1.0,
+            word: OutcomeWord::zero(),
+        }];
+        for (op, &deferred) in self.ops.iter().zip(&terminal) {
             match op {
+                PlannedOp::Measure { .. } if deferred => {}
                 PlannedOp::Measure { qubit, clbit } => {
-                    let outcome = sv.measure(*qubit, rng);
-                    clbits.set_bit(*clbit, outcome);
+                    branches = split_branches(branches, *qubit, Some(*clbit), dim)?;
                 }
-                PlannedOp::Reset { qubit } => sv.reset(*qubit, rng),
+                PlannedOp::Reset { qubit } => {
+                    branches = split_branches(branches, *qubit, None, dim)?;
+                }
                 PlannedOp::Cond { op, clbit, value } => {
-                    if clbits.bit(*clbit) == *value {
-                        apply_unitary_op(sv, op);
+                    for b in branches.iter_mut().filter(|b| b.word.bit(*clbit) == *value) {
+                        apply_unitary_op(&mut b.sv, op);
                     }
                 }
-                unitary => apply_unitary_op(sv, unitary),
+                unitary => {
+                    for b in &mut branches {
+                        apply_unitary_op(&mut b.sv, unitary);
+                    }
+                }
             }
         }
+        let readout: Vec<(usize, usize)> = self
+            .ops
+            .iter()
+            .zip(&terminal)
+            .filter_map(|(op, &deferred)| match op {
+                PlannedOp::Measure { qubit, clbit } if deferred => Some((*qubit, *clbit)),
+                _ => None,
+            })
+            .collect();
+        let mut dist = Distribution::new(self.num_clbits);
+        let mut word = OutcomeWord::zero();
+        for b in &branches {
+            for (basis, amp) in b.sv.amplitudes().iter().enumerate() {
+                let p = b.weight * amp.norm_sqr();
+                if p <= 1e-15 {
+                    continue;
+                }
+                word.clone_from(&b.word);
+                for &(q, c) in &readout {
+                    word.set_bit(c, (basis >> q) & 1 == 1);
+                }
+                let existing = dist.get_word(&word);
+                dist.set(word.clone(), existing + p);
+            }
+        }
+        Some((dist, branches.len()))
     }
+
+    /// Per op: `true` for a terminal measurement, which
+    /// [`CircuitPlan::branch_distribution`] reads out at the end instead of
+    /// branching on. A measurement is terminal when no later op other than
+    /// a measurement acts on its qubit, no later `Cond` reads its clbit,
+    /// and no later non-terminal measurement writes its clbit.
+    fn terminal_measures(&self) -> Vec<bool> {
+        let mut touched = vec![false; self.num_qubits];
+        let mut read = vec![false; self.num_clbits];
+        let mut rewritten = vec![false; self.num_clbits];
+        let mut terminal = vec![false; self.ops.len()];
+        for (i, op) in self.ops.iter().enumerate().rev() {
+            match op {
+                PlannedOp::Measure { qubit, clbit } => {
+                    terminal[i] = !touched[*qubit] && !read[*clbit] && !rewritten[*clbit];
+                    rewritten[*clbit] |= !terminal[i];
+                }
+                PlannedOp::Cond { op, clbit, .. } => {
+                    read[*clbit] = true;
+                    op.for_each_qubit(|q| touched[q] = true);
+                }
+                other => other.for_each_qubit(|q| touched[q] = true),
+            }
+        }
+        terminal
+    }
+}
+
+/// Live-amplitude budget for [`CircuitPlan::branch_distribution`]: 2^14
+/// complex amplitudes (256 KiB). A fixed constant, so branch enumeration
+/// never holds more memory than this beyond one ordinary state vector.
+pub const BRANCH_AMPLITUDE_BUDGET: usize = 1 << 14;
+
+/// Outcome probabilities at or below this weight are dropped when a branch
+/// splits: they are floating-point residue of a deterministic outcome
+/// (squared rounding errors, ~1e-32), never a real branch.
+const BRANCH_PRUNE_WEIGHT: f64 = 1e-20;
+
+/// One branch of [`CircuitPlan::branch_distribution`]: a normalized state,
+/// its probability, and the classical word written so far.
+struct Branch {
+    sv: StateVector,
+    weight: f64,
+    word: OutcomeWord,
+}
+
+/// Splits every branch on the Z outcome of `qubit`: each outcome of
+/// non-negligible weight becomes a collapsed child. `clbit` records a
+/// measurement's outcome; `None` is a reset, which flips outcome-1 children
+/// back to `|0>`. Returns `None` when the children would exceed
+/// [`BRANCH_AMPLITUDE_BUDGET`].
+fn split_branches(
+    branches: Vec<Branch>,
+    qubit: usize,
+    clbit: Option<usize>,
+    dim: usize,
+) -> Option<Vec<Branch>> {
+    let p_one: Vec<f64> = branches
+        .iter()
+        .map(|b| b.sv.prob_one(qubit).clamp(0.0, 1.0))
+        .collect();
+    let keep = |w: f64| w > BRANCH_PRUNE_WEIGHT;
+    let children: usize = branches
+        .iter()
+        .zip(&p_one)
+        .map(|(b, &p1)| keep(b.weight * (1.0 - p1)) as usize + keep(b.weight * p1) as usize)
+        .sum();
+    if children > 1 && children.saturating_mul(dim) > BRANCH_AMPLITUDE_BUDGET {
+        return None;
+    }
+    let settle = |mut child: Branch, weight: f64, outcome: bool| {
+        child.weight = weight;
+        child.sv.collapse(qubit, outcome);
+        match clbit {
+            Some(c) => child.word.set_bit(c, outcome),
+            None if outcome => kernels::apply_x(child.sv.amps_mut(), qubit),
+            None => {}
+        }
+        child
+    };
+    let mut next = Vec::with_capacity(children);
+    for (b, p1) in branches.into_iter().zip(p_one) {
+        let (w0, w1) = (b.weight * (1.0 - p1), b.weight * p1);
+        match (keep(w0), keep(w1)) {
+            (true, true) => {
+                let one = Branch {
+                    sv: b.sv.clone(),
+                    weight: w1,
+                    word: b.word.clone(),
+                };
+                next.push(settle(b, w0, false));
+                next.push(settle(one, w1, true));
+            }
+            (true, false) => next.push(settle(b, w0, false)),
+            (false, true) => next.push(settle(b, w1, true)),
+            (false, false) => {}
+        }
+    }
+    Some(next)
 }
 
 /// Applies one unitary planned op to the state via the kernel layer.
@@ -521,7 +722,7 @@ impl CircuitPlan {
 /// # Panics
 ///
 /// Panics (in the match) when handed `Measure`/`Reset`/`Cond`; callers
-/// route those through trajectory logic.
+/// route those through branch logic.
 fn apply_unitary_op(sv: &mut StateVector, op: &PlannedOp) {
     match op {
         PlannedOp::DenseK { qubits, matrix } => sv.apply_matrix(matrix, qubits),
@@ -1548,7 +1749,6 @@ pub fn shared_cache() -> Arc<Mutex<PlanCache>> {
 mod tests {
     use super::*;
     use qcir::math::Matrix;
-    use rand::SeedableRng;
 
     /// Applies the plan and the unfused per-gate path to the same basis
     /// states and requires identical final states to 1e-12.
@@ -1819,13 +2019,49 @@ mod tests {
         qc.measure(1, 1);
         qc.reset(0);
         let plan = CircuitPlan::compile(&qc);
-        let mut sv = StateVector::zero(2);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut word = OutcomeWord::zero();
-        plan.run_trajectory(&mut sv, &mut rng, &mut word);
-        assert!(word.bit(0) && word.bit(1));
-        // Reset put qubit 0 back to |0>.
-        assert!(sv.prob_one(0) < 1e-12);
+        let (dist, branches) = plan.enumerate_branches().expect("2 qubits fit the budget");
+        assert_eq!(branches, 1, "deterministic outcomes never split");
+        let outcomes: Vec<(String, f64)> = dist.iter().map(|(w, p)| (w.bitstring(2), p)).collect();
+        assert_eq!(outcomes.len(), 1, "{outcomes:?}");
+        assert_eq!(outcomes[0].0, "11");
+        assert!((outcomes[0].1 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn terminal_measurements_read_out_without_branching() {
+        // H(2) is emitted after Measure(0) by the fuser, but touches
+        // another qubit: the measure stays terminal and nothing splits.
+        let mut qc = Circuit::new(3, 2);
+        qc.h(0).h(2).measure(0, 0).h(1).measure(1, 1);
+        let (dist, branches) = CircuitPlan::compile(&qc).enumerate_branches().unwrap();
+        assert_eq!(branches, 1);
+        for w in 0..4u64 {
+            assert!((dist.get(w) - 0.25).abs() < 1e-12);
+        }
+        // A measured qubit that is rotated again must split.
+        let mut mid = Circuit::new(1, 2);
+        mid.h(0).measure(0, 0).h(0).measure(0, 1);
+        let (dist, branches) = CircuitPlan::compile(&mid).enumerate_branches().unwrap();
+        assert_eq!(branches, 2);
+        for w in 0..4u64 {
+            assert!((dist.get(w) - 0.25).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn branches_past_the_amplitude_budget_return_none() {
+        // Each split doubles the live branches: 13 qubits hold 2 branches
+        // (2^14 amplitudes) but not 4.
+        let mut qc = Circuit::new(13, 2);
+        qc.h(0).measure(0, 0).h(0);
+        assert!(CircuitPlan::compile(&qc).branch_distribution().is_some());
+        qc.measure(0, 1).h(0).reset(0);
+        assert!(CircuitPlan::compile(&qc).branch_distribution().is_none());
+        // A single unsplit branch is always allowed.
+        let mut wide = Circuit::new(16, 16);
+        wide.h(0).measure_all();
+        let dist = CircuitPlan::compile(&wide).branch_distribution().unwrap();
+        assert!((dist.get(1) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -7,19 +7,18 @@
 //!    recomputes `sin`/`cos`/`exp` matrix entries) happens once at plan
 //!    compile time; replaying a cached plan performs no classification at
 //!    all.
-//! 2. **Zero heap allocations in the per-shot replay loop** for ≤ 64-clbit
-//!    registers: the reused state vector, the precompiled op list and the
-//!    inline outcome word mean a warm trajectory is pure arithmetic.
+//! 2. **Zero heap allocations in the per-shot sampling loop** for ≤ 64-clbit
+//!    registers: a noiseless dynamic circuit is enumerated once into an
+//!    exact branch table, and each warm shot is one uniform draw, a binary
+//!    search and a record of the borrowed inline outcome word.
 //!
 //! Kept as its own integration binary (single test) so no concurrent test
 //! thread can allocate — or classify gates — while the counters are read.
 
 use qcir::circuit::Circuit;
 use qcir::gate::Gate;
-use qsim::dist::Counts;
+use qsim::dist::{Counts, WordSampler};
 use qsim::exec::{ExecutorConfig, PlanCacheMode};
-use qsim::state::StateVector;
-use qsim::word::OutcomeWord;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,8 +53,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// A mid-circuit-measurement workload (so executor runs take the per-shot
-/// plan-replay path, not the sampling path) mixing every kernel tier.
+/// A mid-circuit-measurement workload (so executor runs take the branch
+/// enumeration path, not the measure-at-end sampling path) mixing every
+/// kernel tier.
 fn workload() -> Circuit {
     let mut qc = Circuit::new(6, 6);
     qc.h(0).t(0).cx(0, 1).cz(1, 2).swap(2, 3);
@@ -103,18 +103,20 @@ fn warm_cached_plan_runs_skip_classification_and_allocation() {
         );
     }
 
-    // The per-shot replay loop — reinit, replay precompiled ops, measure,
-    // record — allocates nothing once the state, RNG chunk and counts
-    // table are warm. Drive the loop exactly as `run_task` does, with the
-    // executor-owned pieces preallocated.
+    // The per-shot sampling loop — draw a word from the branch table,
+    // record it — allocates nothing once the table, RNG chunk and counts
+    // table are warm. Drive the loop exactly as the executor's
+    // `sample_chunk` does, with the executor-owned pieces preallocated.
     let plan = exec.plan_for(&qc);
-    let mut sv = StateVector::zero(qc.num_qubits());
+    let dist = plan
+        .branch_distribution()
+        .expect("6 qubits fit the branch budget");
+    let table = WordSampler::new(&dist);
     let mut counts = Counts::new(qc.num_clbits());
-    let mut word = OutcomeWord::zero();
     let mut rng = StdRng::seed_from_u64(11);
-    for _ in 0..64 {
-        plan.run_trajectory(&mut sv, &mut rng, &mut word);
-        counts.record_word(&word);
+    // Warm every outcome's counts-table node.
+    for (word, _) in dist.iter() {
+        counts.record_word(word);
     }
 
     // The harness's own runtime occasionally allocates on another thread
@@ -125,8 +127,7 @@ fn warm_cached_plan_runs_skip_classification_and_allocation() {
     for _attempt in 0..8 {
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..64 {
-            plan.run_trajectory(&mut sv, &mut rng, &mut word);
-            counts.record_word(&word);
+            counts.record_word(table.draw(&mut rng));
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         min_allocs = min_allocs.min(after - before);
@@ -135,10 +136,14 @@ fn warm_cached_plan_runs_skip_classification_and_allocation() {
         min_allocs, 0,
         "warm cached-plan shots allocated {min_allocs} time(s) with telemetry enabled"
     );
-    assert_eq!(word.num_words(), 1, "inline outcome representation in play");
+    assert!(
+        dist.iter().all(|(word, _)| word.num_words() == 1),
+        "inline outcome representation in play"
+    );
 
-    // The instrumentation was genuinely live while the loop ran, not
-    // compiled away: the kernel dispatch-tier counters moved.
+    // The instrumentation was genuinely live, not compiled away: the
+    // kernel dispatch-tier counters moved while the warm runs enumerated
+    // the branches.
     let tier_counts: u64 = [
         "kernels.butterfly1_avx2",
         "kernels.butterfly1_scalar",

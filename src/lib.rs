@@ -36,3 +36,9 @@ pub use qlm;
 pub use qsim;
 pub use qugen_serve;
 pub use qugen_shard;
+
+/// Compiles the README's Rust examples as doctests, so the README cannot
+/// drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
