@@ -7,9 +7,10 @@
 //! sampling), and [`circuit_level_experiment`] — which lowers the code to
 //! an executable Clifford circuit ([`SurfaceCode::memory_circuit`]) and
 //! runs it through `qsim`'s [`qsim::exec::Executor`] on the
-//! stabilizer-tableau backend,
-//! so gate-level depolarizing noise propagates through the actual
-//! extraction circuit. That path is polynomial in the distance, and
+//! stabilizer-tableau backend — one noiseless reference run, then Pauli
+//! frames for 64 shots per word ([`qsim::frame`]) — so gate-level
+//! depolarizing noise propagates through the actual extraction circuit.
+//! That path is polynomial in the distance, and
 //! outcome words are multi-word, which together make distance-5 (49-qubit)
 //! and distance-7 (97-qubit, 97-classical-bit) memory experiments
 //! routine where dense simulation — or a one-word classical register — is
@@ -18,9 +19,10 @@
 use crate::decoder::{
     Correction, Decoder, DecodingGraph, GreedyMatchingDecoder, LookupDecoder, UnionFindDecoder,
 };
-use crate::surface::SurfaceCode;
+use crate::surface::{MemoryCircuit, SurfaceCode};
 use crate::syndrome;
 use qsim::backend::{BackendChoice, SimError};
+use qsim::dist::Counts;
 use qsim::exec::ExecutorConfig;
 use qsim::noise::NoiseModel;
 use rand::rngs::StdRng;
@@ -223,25 +225,30 @@ pub fn circuit_level_experiment_threaded(
         .threads(threads.max(1))
         .build()
         .try_run(&mem.circuit, trials, seed)?;
-    let graph = DecodingGraph::spacetime_x(&code, rounds + 1);
-    let decoder = GreedyMatchingDecoder::new(graph);
-    let mut failures = 0u64;
-    for (word, count) in counts.iter() {
-        let events = mem.detection_events(&code, word);
-        let correction = decoder.decode(&events);
-        let mut residual = mem.data_readout(word);
-        correction.apply(&mut residual);
-        if code.is_logical_x_flip(&residual) {
-            failures += count;
-        }
-    }
     Ok(MemoryResult {
         distance: d,
         p_physical: noise.two_qubit_depol,
-        p_logical: failures as f64 / counts.shots().max(1) as f64,
+        p_logical: logical_failures(&code, &mem, &counts) as f64 / counts.shots().max(1) as f64,
         trials: trials as usize,
         decoder: "greedy-matching(circuit-level)",
     })
+}
+
+/// How many shots of `counts` — outcomes of `mem.circuit` — end in a
+/// logical X flip after space-time greedy-matching decoding of their
+/// detection events (the numerator of the circuit-level `p_logical`).
+pub fn logical_failures(code: &SurfaceCode, mem: &MemoryCircuit, counts: &Counts) -> u64 {
+    let decoder = GreedyMatchingDecoder::new(DecodingGraph::spacetime_x(code, mem.rounds + 1));
+    counts
+        .iter()
+        .filter(|(word, _)| {
+            let correction = decoder.decode(&mem.detection_events(code, word));
+            let mut residual = mem.data_readout(word);
+            correction.apply(&mut residual);
+            code.is_logical_x_flip(&residual)
+        })
+        .map(|(_, count)| count)
+        .sum()
 }
 
 /// Applies a decoder end-to-end to one explicit error pattern (exposed for

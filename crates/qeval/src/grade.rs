@@ -33,9 +33,11 @@ pub const TVD_TOLERANCE_SAMPLED: f64 = 0.08;
 /// Shots for sampled comparisons of dense-sized circuits (dynamic circuits
 /// past the branch-enumeration budget).
 pub const GRADING_SHOTS: u64 = 8192;
-/// Shots for sampled comparisons of circuits past the dense grading cap
-/// (per-shot tableau trajectories are pricier, and the statistical error at
-/// 2048 shots is still well inside [`TVD_TOLERANCE_SAMPLED`]).
+/// Shots for sampled comparisons of circuits past the dense grading cap.
+/// Large Clifford circuits sample Pauli frames against one tableau
+/// reference run, so shots are cheap there, but large general circuits run
+/// on the MPS engine; the statistical error at 2048 shots is well inside
+/// [`TVD_TOLERANCE_SAMPLED`].
 pub const GRADING_SHOTS_LARGE: u64 = 2048;
 /// Fixed seed for sampled grading (determinism across runs).
 pub const GRADING_SEED: u64 = 0xE7A1;

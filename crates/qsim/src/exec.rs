@@ -1,11 +1,27 @@
 //! Circuit execution: shots, trajectories, conditionals, backend dispatch
 //! and multi-threaded shot batching.
 //!
+//! # Execution paths
+//!
+//! [`Executor`] prepares each job once and then runs its shot chunks on
+//! one of four paths (the `path` label of its `executor/job` trace span):
+//!
+//! * `sampling` — noiseless dense and MPS circuits: whole outcome words
+//!   drawn from an exact distribution computed once;
+//! * `frames` — every tableau job: one noiseless reference run, then
+//!   Pauli frames propagated 64 shots per word ([`crate::frame`]);
+//! * `noisy_replay` — noisy dense circuits: precompiled kernel segments
+//!   replayed per shot;
+//! * `trajectory` — one engine trajectory per shot, for noisy MPS runs,
+//!   dynamic dense circuits past the branch budget and tableau circuits
+//!   with a non-Pauli conditional gate.
+//!
 //! # Shot chunking and determinism
 //!
 //! Shots are partitioned into fixed [`SHOT_CHUNK`]-sized chunks; chunk `i`
-//! draws from its own RNG seeded with [`derive_seed`]`(seed, i)`, and the
-//! per-chunk [`Counts`] are merged by commutative outcome-wise addition.
+//! draws from its own RNG seeded with [`derive_seed`]`(seed, i)`, each
+//! worker records its chunks into one local [`Counts`] table, and the
+//! tables are merged by commutative outcome-wise addition.
 //! Because the partition and the seeds depend only on `(shots, seed)` —
 //! never on thread scheduling or merge order — a run with
 //! [`ExecutorConfig::threads`]`(n)` is bit-identical to the
@@ -13,6 +29,7 @@
 
 use crate::backend::{self, BackendChoice, BackendKind, BackendState, SimError};
 use crate::dist::{Counts, Distribution, WordSampler};
+use crate::frame::{FramePlan, FrameScratch};
 use crate::job::JobSpec;
 use crate::mps::{MpsSampler, MpsState};
 use crate::noise::NoiseModel;
@@ -268,7 +285,10 @@ impl ExecutorConfig {
 /// Noisy circuits, and dynamic circuits whose branches exceed
 /// [`plan::BRANCH_AMPLITUDE_BUDGET`], run one Monte-Carlo trajectory per
 /// shot. Clifford circuits dispatch to the stabilizer tableau per the
-/// rules in [`crate::backend`], which keeps large QEC workloads polynomial.
+/// rules in [`crate::backend`], which keeps large QEC workloads polynomial;
+/// there one noiseless reference run plus Pauli frames for 64 shots per
+/// word ([`crate::frame`]) replace per-shot trajectories, except for
+/// circuits with a non-Pauli conditional gate.
 #[derive(Debug, Clone)]
 pub struct Executor {
     config: ExecutorConfig,
@@ -489,9 +509,24 @@ impl Executor {
                         let task = prepared[t].as_ref().expect("only Ok tasks enqueue items");
                         let chunk_shots = (task.shots - chunk as u64 * SHOT_CHUNK).min(SHOT_CHUNK);
                         let mut rng = StdRng::seed_from_u64(derive_seed(task.seed, chunk as u64));
-                        let counts = match &task.plan {
+                        let counts = locals[t].get_or_insert_with(|| Counts::new(task.num_clbits));
+                        match &task.plan {
                             BatchPlan::Sampling(sampler) => {
-                                sample_chunk(sampler, task.num_clbits, chunk_shots, &mut rng)
+                                sample_chunk(sampler, chunk_shots, &mut rng, counts)
+                            }
+                            BatchPlan::Frames(plan) => {
+                                let ctx = states[t]
+                                    .get_or_insert_with(|| WorkerCtx::Frame(plan.scratch()));
+                                let WorkerCtx::Frame(scratch) = ctx else {
+                                    unreachable!("frame tasks only build frame contexts")
+                                };
+                                plan.sample_into(
+                                    &self.config.noise,
+                                    scratch,
+                                    chunk_shots,
+                                    &mut rng,
+                                    counts,
+                                );
                             }
                             BatchPlan::NoisyReplay { plan } => {
                                 let ctx = states[t].get_or_insert_with(|| {
@@ -504,10 +539,10 @@ impl Executor {
                                     plan,
                                     &self.config.noise,
                                     sv,
-                                    task.num_clbits,
                                     chunk_shots,
                                     &mut rng,
-                                )
+                                    counts,
+                                );
                             }
                             BatchPlan::Trajectory { kind, circuit } => {
                                 let ctx = states[t].get_or_insert_with(|| {
@@ -520,22 +555,18 @@ impl Executor {
                                 let WorkerCtx::Engine(state) = ctx else {
                                     unreachable!("trajectory tasks only build engine contexts")
                                 };
-                                let counts = self.trajectory_chunk(
+                                self.trajectory_chunk(
                                     circuit,
                                     state.as_mut(),
-                                    task.num_clbits,
                                     chunk_shots,
                                     &mut rng,
+                                    counts,
                                 );
                                 if state.truncation_error() > task.budget {
                                     cancelled[t].store(true, Ordering::Relaxed);
                                 }
-                                counts
                             }
-                        };
-                        locals[t]
-                            .get_or_insert_with(|| Counts::new(task.num_clbits))
-                            .merge(&counts);
+                        }
                     }
                     // Retire: fold local counts and truncation high-water
                     // marks into the shared per-task slots.
@@ -651,11 +682,20 @@ impl Executor {
                     measure_map,
                 })
             }
+            // Clifford circuits on the tableau: one noiseless reference
+            // run, then Pauli frames for 64 shots per word — unless a
+            // conditional gate is not a Pauli, which needs per-shot
+            // trajectories (see `crate::frame`).
+            BackendKind::Tableau => match FramePlan::new(circuit, seed) {
+                Some(plan) => BatchPlan::Frames(plan),
+                None => BatchPlan::Trajectory { kind, circuit },
+            },
             _ => BatchPlan::Trajectory { kind, circuit },
         };
         Ok(BatchTask {
             plan,
             kind,
+            num_qubits: circuit.num_qubits(),
             num_clbits: circuit.num_clbits(),
             shots,
             seed,
@@ -673,8 +713,19 @@ impl Executor {
                 task.shots,
                 task.seed,
                 || (),
-                |(), chunk_shots, rng| sample_chunk(sampler, task.num_clbits, chunk_shots, rng),
+                |(), chunk_shots, rng, counts| sample_chunk(sampler, chunk_shots, rng, counts),
                 |()| {},
+                &AtomicBool::new(false),
+            )),
+            BatchPlan::Frames(plan) => Ok(self.chunked_counts(
+                task.num_clbits,
+                task.shots,
+                task.seed,
+                || plan.scratch(),
+                |scratch, chunk_shots, rng, counts| {
+                    plan.sample_into(&self.config.noise, scratch, chunk_shots, rng, counts)
+                },
+                |_| {},
                 &AtomicBool::new(false),
             )),
             BatchPlan::NoisyReplay { plan } => Ok(self.chunked_counts(
@@ -682,15 +733,8 @@ impl Executor {
                 task.shots,
                 task.seed,
                 || StateVector::zero(plan.num_qubits()),
-                |sv, chunk_shots, rng| {
-                    noisy_replay_chunk(
-                        plan,
-                        &self.config.noise,
-                        sv,
-                        task.num_clbits,
-                        chunk_shots,
-                        rng,
-                    )
+                |sv, chunk_shots, rng, counts| {
+                    noisy_replay_chunk(plan, &self.config.noise, sv, chunk_shots, rng, counts)
                 },
                 |_| {},
                 &AtomicBool::new(false),
@@ -713,6 +757,7 @@ impl Executor {
         let span = trace::span("executor", "job")
             .label("backend", task.kind.name())
             .label("path", task.plan.path())
+            .int("qubits", task.num_qubits as i128)
             .int("shots", task.shots as i128)
             .int("chunks", chunks as i128);
         let start = Instant::now();
@@ -758,18 +803,11 @@ impl Executor {
                     .init(circuit.num_qubits())
                     .expect("backend capacity pre-validated by resolve()")
             },
-            |state, chunk_shots, rng| {
-                let counts = self.trajectory_chunk(
-                    circuit,
-                    state.as_mut(),
-                    circuit.num_clbits(),
-                    chunk_shots,
-                    rng,
-                );
+            |state, chunk_shots, rng, counts| {
+                self.trajectory_chunk(circuit, state.as_mut(), chunk_shots, rng, counts);
                 if state.truncation_error() > budget {
                     cancel.store(true, Ordering::Relaxed);
                 }
-                counts
             },
             |state| {
                 let e = state.truncation_error();
@@ -787,30 +825,29 @@ impl Executor {
         Ok(counts)
     }
 
-    /// One chunk of Monte-Carlo trajectories on a reusable state; the
-    /// outcome scratch word is reused across the chunk's shots, so ≤ 64-bit
-    /// registers record without heap allocation.
+    /// One chunk of Monte-Carlo trajectories on a reusable state, recorded
+    /// into `counts`; the outcome scratch word is reused across the chunk's
+    /// shots, so ≤ 64-bit registers record without heap allocation.
     fn trajectory_chunk(
         &self,
         circuit: &Circuit,
         state: &mut dyn BackendState,
-        num_clbits: usize,
         chunk_shots: u64,
         rng: &mut StdRng,
-    ) -> Counts {
-        let mut counts = Counts::new(num_clbits);
+        counts: &mut Counts,
+    ) {
         let mut word = OutcomeWord::zero();
         for _ in 0..chunk_shots {
             self.trajectory(circuit, state, rng, &mut word);
             counts.record_word(&word);
         }
-        counts
     }
 
     /// Partitions `shots` into [`SHOT_CHUNK`]-sized chunks and runs them on
     /// up to `self.threads` workers. `make_ctx` builds one reusable
     /// per-worker context (e.g. a simulator state), `run_chunk` executes one
-    /// chunk with a chunk-seeded RNG, and `retire` observes each context
+    /// chunk with a chunk-seeded RNG and records its shots into the
+    /// worker's counts table, and `retire` observes each context
     /// after its worker finishes (so callers can fold per-state metadata
     /// like the MPS truncation ledger).
     ///
@@ -839,7 +876,7 @@ impl Executor {
     ) -> Counts
     where
         M: Fn() -> C + Sync,
-        F: Fn(&mut C, u64, &mut StdRng) -> Counts + Sync,
+        F: Fn(&mut C, u64, &mut StdRng, &mut Counts) + Sync,
         R: Fn(C) + Sync,
     {
         let num_chunks = shots.div_ceil(SHOT_CHUNK) as usize;
@@ -853,7 +890,7 @@ impl Executor {
                     break;
                 }
                 let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-                merged.merge(&run_chunk(&mut ctx, chunk_shots(i), &mut rng));
+                run_chunk(&mut ctx, chunk_shots(i), &mut rng, &mut merged);
             }
             retire(ctx);
             return merged;
@@ -871,7 +908,7 @@ impl Executor {
                             break;
                         }
                         let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-                        local.merge(&run_chunk(&mut ctx, chunk_shots(i), &mut rng));
+                        run_chunk(&mut ctx, chunk_shots(i), &mut rng, &mut local);
                     }
                     retire(ctx);
                     partials
@@ -1069,6 +1106,9 @@ enum BatchPlan<'c> {
     /// Sampling fast path: the exact distribution prepared once, shared
     /// read-only; chunks draw whole words from the [`Sampler`].
     Sampling(Sampler),
+    /// Pauli-frame sampling on the tableau: the noiseless reference sample
+    /// taken once, shared read-only; chunks propagate 64 shots per word.
+    Frames(FramePlan),
     /// Monte-Carlo path on a noisy replay plan: dense circuits under a
     /// noisy model replay precompiled kernel segments between noise
     /// insertion points, bit-identical to per-gate dispatch.
@@ -1107,6 +1147,7 @@ impl BatchPlan<'_> {
     fn path(&self) -> &'static str {
         match self {
             BatchPlan::Sampling(_) => "sampling",
+            BatchPlan::Frames(_) => "frames",
             BatchPlan::NoisyReplay { .. } => "noisy_replay",
             BatchPlan::Trajectory { .. } => "trajectory",
         }
@@ -1118,6 +1159,7 @@ struct BatchTask<'c> {
     plan: BatchPlan<'c>,
     /// The resolved backend (telemetry keys per-job wall time by it).
     kind: BackendKind,
+    num_qubits: usize,
     num_clbits: usize,
     shots: u64,
     seed: u64,
@@ -1149,11 +1191,12 @@ fn check_truncation(budget: f64, max_bond: usize, error_bound: f64) -> Result<()
 }
 
 /// Per-worker reusable simulation context in the batch loop: a boxed
-/// backend engine for engine trajectories, or a bare state vector for
-/// noisy replays.
+/// backend engine for engine trajectories, a bare state vector for noisy
+/// replays, or frame buffers for frame sampling.
 enum WorkerCtx {
     Engine(Box<dyn BackendState>),
     Dense(StateVector),
+    Frame(FrameScratch),
 }
 
 /// One chunk of noisy replay trajectories on a reusable state vector: the
@@ -1164,17 +1207,15 @@ fn noisy_replay_chunk(
     plan: &NoisyPlan,
     noise: &NoiseModel,
     sv: &mut StateVector,
-    num_clbits: usize,
     chunk_shots: u64,
     rng: &mut StdRng,
-) -> Counts {
-    let mut counts = Counts::new(num_clbits);
+    counts: &mut Counts,
+) {
     let mut word = OutcomeWord::zero();
     for _ in 0..chunk_shots {
         plan.run_trajectory(sv, noise, rng, &mut word);
         counts.record_word(&word);
     }
-    counts
 }
 
 /// Evolves a measure-at-end circuit's unitary prefix on the MPS engine.
@@ -1192,18 +1233,13 @@ fn evolve_mps_prefix(circuit: &Circuit, max_bond: usize) -> (MpsState, Vec<(usiz
     (state, measure_map)
 }
 
-/// Draws one chunk of shots from `sampler`. Basis words (bit `i` = qubit
-/// `i`) are packed into classical words through the measurement map,
-/// last writer winning when two measurements share a clbit; branch-table
-/// words are recorded as drawn. Both scratch words are reused across the
-/// chunk's shots, keeping ≤ 64-bit registers allocation-free.
-fn sample_chunk(
-    sampler: &Sampler,
-    num_clbits: usize,
-    chunk_shots: u64,
-    rng: &mut StdRng,
-) -> Counts {
-    let mut counts = Counts::new(num_clbits);
+/// Draws one chunk of shots from `sampler` into `counts`. Basis words
+/// (bit `i` = qubit `i`) are packed into classical words through the
+/// measurement map, last writer winning when two measurements share a
+/// clbit; branch-table words are recorded as drawn. Both scratch words are
+/// reused across the chunk's shots, keeping ≤ 64-bit registers
+/// allocation-free.
+fn sample_chunk(sampler: &Sampler, chunk_shots: u64, rng: &mut StdRng, counts: &mut Counts) {
     let mut basis = OutcomeWord::zero();
     let mut word = OutcomeWord::zero();
     for _ in 0..chunk_shots {
@@ -1227,7 +1263,6 @@ fn sample_chunk(
         }
         counts.record_word(&word);
     }
-    counts
 }
 
 /// `true` when the circuit has no conditionals/resets and every measurement
@@ -2006,6 +2041,84 @@ mod tests {
         if tmetrics::enabled() {
             assert!(exec_metrics().branch_fallbacks.get() >= before + 2);
         }
+    }
+
+    /// A teleport-like Clifford circuit whose correction is `gate`,
+    /// conditioned on a random mid-circuit bit.
+    fn conditional_clifford(gate: Gate) -> Circuit {
+        let mut qc = Circuit::new(3, 3);
+        qc.h(0).cx(0, 2).measure(0, 0);
+        qc.cond_gate(gate, &[1], 0, true);
+        qc.s(1).cx(1, 2).h(2).measure_all();
+        qc
+    }
+
+    #[test]
+    fn tableau_jobs_sample_frames_unless_a_conditional_is_not_a_pauli() {
+        let exec = on_backend(BackendChoice::Tableau);
+        let path = |qc: &Circuit| {
+            exec.prepare(qc, 100, 1, BackendChoice::Tableau, f64::INFINITY)
+                .unwrap()
+                .plan
+                .path()
+        };
+        assert_eq!(path(&ghz(5)), "frames");
+        assert_eq!(path(&conditional_clifford(Gate::X)), "frames");
+        assert_eq!(path(&conditional_clifford(Gate::Y)), "frames");
+        assert_eq!(path(&conditional_clifford(Gate::H)), "trajectory");
+        // Both tableau paths reproduce the exact dense distribution within
+        // 5σ per outcome.
+        for gate in [Gate::X, Gate::Y, Gate::H] {
+            let qc = conditional_clifford(gate);
+            let exact = Executor::exact_distribution(&qc).unwrap();
+            let shots = 20_000u64;
+            let counts = exec.try_run(&qc, shots, 9).unwrap();
+            let n = shots as f64;
+            for word in exact
+                .iter()
+                .map(|(w, _)| w)
+                .chain(counts.iter().map(|(w, _)| w))
+            {
+                let p = exact.get_word(word);
+                let f = counts.count_word(word) as f64 / n;
+                let bound = 5.0 * (p * (1.0 - p) / n).sqrt() + 1.0 / n;
+                assert!(
+                    (f - p).abs() <= bound,
+                    "{gate}: {word:?} exact {p} sampled {f}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn job_spans_carry_the_path_and_qubit_count() {
+        // Shot counts no other test uses pick this test's spans out of a
+        // process-wide capture.
+        let buffer = trace::install_capture();
+        let tableau = on_backend(BackendChoice::Tableau);
+        tableau.try_run(&ghz(13), 1031, 1).unwrap();
+        tableau
+            .try_run(&conditional_clifford(Gate::H), 1033, 1)
+            .unwrap();
+        Executor::ideal().try_run(&ghz(3), 1037, 1).unwrap();
+        trace::disable();
+        let lines = buffer.lock().unwrap().clone();
+        let job = |shots: &str| {
+            lines
+                .iter()
+                .find(|l| l.contains("\"name\":\"job\"") && l.contains(shots))
+                .unwrap_or_else(|| panic!("no job span with {shots}"))
+                .clone()
+        };
+        let frames = job("\"shots\":1031");
+        assert!(frames.contains("\"path\":\"frames\""), "{frames}");
+        assert!(frames.contains("\"qubits\":13"), "{frames}");
+        let fallback = job("\"shots\":1033");
+        assert!(fallback.contains("\"path\":\"trajectory\""), "{fallback}");
+        assert!(fallback.contains("\"qubits\":3"), "{fallback}");
+        let sampling = job("\"shots\":1037");
+        assert!(sampling.contains("\"path\":\"sampling\""), "{sampling}");
+        assert!(sampling.contains("\"qubits\":3"), "{sampling}");
     }
 
     /// Raw draw for one op of a random dynamic circuit: (kind, gate,

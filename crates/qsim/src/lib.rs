@@ -16,6 +16,9 @@
 //! * [`stabilizer`] — an Aaronson–Gottesman CHP tableau simulator for
 //!   Clifford circuits, used for surface-code syndrome extraction at
 //!   distances where the dense simulator is infeasible.
+//! * [`frame`] — Pauli-frame batch sampling on top of it: one noiseless
+//!   tableau reference run per job, then Pauli error frames propagated
+//!   64 shots per `u64` word (Gidney's Stim method).
 //! * [`mps`] — a matrix-product-state simulator with bounded bond
 //!   dimension χ and truncated-SVD two-site updates, for low-entanglement
 //!   *non-Clifford* circuits past the dense qubit cap.
@@ -38,8 +41,10 @@
 //!   [`exec::ExecutorConfig`]. Noiseless dense circuits, dynamic ones
 //!   included, sample shots from an exact distribution computed once
 //!   from the cached plan; noisy dense circuits replay precompiled
-//!   segments per shot; tableau and MPS runs, and dynamic circuits past
-//!   the branch budget, run one engine trajectory per shot.
+//!   segments per shot; tableau runs sample Pauli frames against one
+//!   reference run; noisy MPS runs, dynamic circuits past the branch
+//!   budget and tableau circuits with a non-Pauli conditional gate run
+//!   one engine trajectory per shot.
 //! * [`job`] — the typed job vocabulary ([`job::JobSpec`] /
 //!   [`job::JobStatus`] / [`job::JobResult`]) shared by in-process batch
 //!   calls, the `qugen-serve` daemon and future shard coordinators, with
@@ -69,6 +74,7 @@
 pub mod backend;
 pub mod dist;
 pub mod exec;
+pub mod frame;
 pub mod job;
 pub mod kernels;
 pub mod mps;

@@ -3,13 +3,19 @@
 //! Simulates Clifford circuits (H, S, CX and Paulis) plus computational
 //! basis measurement in `O(n^2)` per operation, which is what makes
 //! distance-5/7 surface-code syndrome extraction tractable where the dense
-//! simulator is not.
+//! simulator is not. Rows are packed 64 qubits per word, and
+//! measurement updates rows in place, so a run allocates only its
+//! tableau.
+//!
+//! The executor runs each tableau job through this simulator once, as the
+//! noiseless reference sample of [`crate::frame`]'s Pauli-frame sampler;
+//! one full trajectory per shot is left only for circuits with a
+//! non-Pauli classically conditioned gate.
 //!
 //! Reference: S. Aaronson and D. Gottesman, "Improved simulation of
 //! stabilizer circuits", Phys. Rev. A 70, 052328 (2004).
 
 use crate::backend::SimError;
-use crate::dist::Counts;
 use crate::word::OutcomeWord;
 use qcir::circuit::{Circuit, Op};
 use qcir::gate::Gate;
@@ -192,31 +198,26 @@ impl StabilizerSim {
         }
     }
 
-    /// Phase contribution g(x1,z1,x2,z2) of multiplying two Paulis,
-    /// in {-1, 0, +1} (mod 4 arithmetic over 2 bits).
-    #[inline]
-    fn g(x1: bool, z1: bool, x2: bool, z2: bool) -> i32 {
-        match (x1, z1) {
-            (false, false) => 0,
-            (true, true) => (z2 as i32) - (x2 as i32),
-            (true, false) => (z2 as i32) * (2 * (x2 as i32) - 1),
-            (false, true) => (x2 as i32) * (1 - 2 * (z2 as i32)),
-        }
-    }
-
     /// Row `h` *= row `i` (Pauli product with phase tracking).
+    ///
+    /// The phase is the Aaronson–Gottesman sum of per-qubit contributions
+    /// `g ∈ {-1, 0, +1}` of multiplying row `i`'s Pauli into row `h`'s,
+    /// evaluated 64 qubits per word: `plus` and `minus` mark the qubits
+    /// contributing +1 and −1 (Y·Z, X·Y, Z·X and the reverse orders).
     fn rowsum(&mut self, h: usize, i: usize) {
-        let mut phase = 2 * (self.rs[h] as i32) + 2 * (self.rs[i] as i32);
-        for q in 0..self.n {
-            phase += Self::g(self.x(i, q), self.z(i, q), self.x(h, q), self.z(h, q));
+        let mut sum = 2 * (self.rs[h] as i64) + 2 * (self.rs[i] as i64);
+        for w in 0..self.words {
+            let (x1, z1) = (self.xs[i][w], self.zs[i][w]);
+            let (x2, z2) = (self.xs[h][w], self.zs[h][w]);
+            let plus = (x1 & z1 & z2 & !x2) | (x1 & !z1 & z2 & x2) | (!x1 & z1 & x2 & !z2);
+            let minus = (x1 & z1 & x2 & !z2) | (x1 & !z1 & z2 & !x2) | (!x1 & z1 & x2 & z2);
+            sum += plus.count_ones() as i64 - minus.count_ones() as i64;
+            self.xs[h][w] ^= x1;
+            self.zs[h][w] ^= z1;
         }
-        let phase = phase.rem_euclid(4);
+        let phase = sum.rem_euclid(4);
         debug_assert!(phase == 0 || phase == 2, "rowsum produced odd phase");
         self.rs[h] = (phase == 2) as u8;
-        for w in 0..self.words {
-            self.xs[h][w] ^= self.xs[i][w];
-            self.zs[h][w] ^= self.zs[i][w];
-        }
     }
 
     /// Returns `Some(v)` when a Z-measurement of `q` is deterministic.
@@ -257,9 +258,11 @@ impl StabilizerSim {
                 self.rowsum(row, p);
             }
         }
-        // Destabilizer p-n <- old stabilizer p.
-        self.xs[p - n] = self.xs[p].clone();
-        self.zs[p - n] = self.zs[p].clone();
+        // Destabilizer p-n <- old stabilizer p, copied in place.
+        let (lo, hi) = self.xs.split_at_mut(p);
+        lo[p - n].copy_from_slice(&hi[0]);
+        let (lo, hi) = self.zs.split_at_mut(p);
+        lo[p - n].copy_from_slice(&hi[0]);
         self.rs[p - n] = self.rs[p];
         // New stabilizer p = +/- Z_q with random sign.
         let outcome = rng.gen_bool(0.5);
@@ -382,32 +385,6 @@ impl StabilizerSim {
             Ok(word) => word,
             Err(e) => panic!("stabilizer simulation failed: {e}"),
         }
-    }
-
-    /// Samples `shots` independent trajectories of a Clifford circuit into a
-    /// [`Counts`] table — the distribution-level mirror of the dense
-    /// executor's sampling path. The tableau and the outcome scratch word
-    /// are reused across shots.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StabilizerSim::try_run_circuit`].
-    pub fn sample_counts(
-        circuit: &Circuit,
-        shots: u64,
-        rng: &mut impl Rng,
-    ) -> Result<Counts, SimError> {
-        if let Some(gate) = crate::backend::first_non_clifford(circuit) {
-            return Err(SimError::NonCliffordGate { gate });
-        }
-        let mut counts = Counts::new(circuit.num_clbits());
-        let mut sim = StabilizerSim::new(circuit.num_qubits());
-        let mut word = OutcomeWord::zero();
-        for _ in 0..shots {
-            sim.run_circuit_into(circuit, rng, &mut word);
-            counts.record_word(&word);
-        }
-        Ok(counts)
     }
 }
 
@@ -656,11 +633,16 @@ mod tests {
     }
 
     #[test]
-    fn sample_counts_matches_bell_statistics() {
+    fn forced_tableau_runs_match_bell_statistics() {
+        use crate::backend::BackendChoice;
+        use crate::exec::ExecutorConfig;
         let mut qc = Circuit::new(2, 2);
         qc.h(0).cx(0, 1).measure_all();
-        let mut rng = StdRng::seed_from_u64(22);
-        let counts = StabilizerSim::sample_counts(&qc, 2000, &mut rng).unwrap();
+        let counts = ExecutorConfig::new()
+            .backend(BackendChoice::Tableau)
+            .build()
+            .try_run(&qc, 2000, 22)
+            .unwrap();
         assert_eq!(counts.shots(), 2000);
         assert_eq!(counts.count(0b01) + counts.count(0b10), 0);
         let p00 = counts.probability(0b00);

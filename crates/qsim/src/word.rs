@@ -52,11 +52,8 @@ impl OutcomeWord {
 
     /// Builds from little-endian 64-bit words (word 0 = bits 0..64).
     pub fn from_words(words: &[u64]) -> Self {
-        let mut w = OutcomeWord {
-            head: words.first().copied().unwrap_or(0),
-            rest: words.get(1..).unwrap_or(&[]).to_vec(),
-        };
-        w.trim();
+        let mut w = OutcomeWord::zero();
+        w.assign_words(words);
         w
     }
 
@@ -119,6 +116,16 @@ impl OutcomeWord {
     pub fn assign_u64(&mut self, value: u64) {
         self.head = value;
         self.rest.clear();
+    }
+
+    /// Overwrites the value with little-endian 64-bit words, keeping the
+    /// spill tail's capacity (scratch-word twin of
+    /// [`OutcomeWord::from_words`]).
+    pub fn assign_words(&mut self, words: &[u64]) {
+        self.head = words.first().copied().unwrap_or(0);
+        self.rest.clear();
+        self.rest.extend_from_slice(words.get(1..).unwrap_or(&[]));
+        self.trim();
     }
 
     /// The low 64 bits. For registers known to fit one word this *is* the

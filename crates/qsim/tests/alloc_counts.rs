@@ -1,5 +1,7 @@
-//! Regression test: recording shots into a ≤ 64-clbit `Counts` table is
-//! allocation-free on the warm path, via a counting global allocator.
+//! Regression tests: recording shots into a ≤ 64-clbit `Counts` table is
+//! allocation-free on the warm path, and so is every chunk of a
+//! Pauli-frame tableau run after the first — via a counting global
+//! allocator.
 //!
 //! The multi-word `OutcomeWord` keeps one-word registers on an inline
 //! representation whose spill tail is an empty, never-allocated `Vec`, so
@@ -9,13 +11,19 @@
 //! pins that property so a future refactor of the outcome-register layer
 //! cannot quietly put an allocation back on the shot hot path.
 //!
-//! Kept as its own integration binary (single test) so no concurrent test
-//! thread can allocate while the counter is being read.
+//! Kept as its own integration binary, with the tests serialized on one
+//! lock, so no concurrent test thread can allocate while the counter is
+//! being read.
 
+use qcir::circuit::Circuit;
+use qcir::gate::Gate;
+use qsim::backend::BackendChoice;
 use qsim::dist::Counts;
+use qsim::exec::{ExecutorConfig, SHOT_CHUNK};
 use qsim::word::OutcomeWord;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Wraps the system allocator and counts allocation calls.
 struct CountingAllocator;
@@ -46,6 +54,26 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Serializes the tests of this binary.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Allocations `f` performs, minimized over several attempts: the harness
+/// occasionally allocates on another thread while we measure, and `f` is
+/// deterministic, so the minimum is `f`'s own count.
+fn min_allocations(mut f: impl FnMut()) -> usize {
+    (0..8)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            f();
+            ALLOCATIONS.load(Ordering::SeqCst) - before
+        })
+        .min()
+        .expect("at least one attempt")
+}
+
 /// One synthetic "shot": writes a 64-bit-wide outcome into the scratch
 /// word exactly the way the trajectory loop does (clear, then per-bit
 /// `set_bit` including explicit false writes for measured zeros).
@@ -58,6 +86,7 @@ fn write_shot(word: &mut OutcomeWord, shot: u64) {
 
 #[test]
 fn recording_64bit_shots_allocates_nothing_after_warmup() {
+    let _serial = serial();
     let mut counts = Counts::new(64);
     let mut word = OutcomeWord::zero();
 
@@ -94,4 +123,33 @@ fn recording_64bit_shots_allocates_nothing_after_warmup() {
     assert_eq!(counts.shots(), 256 * 2 + 8 * 10 * 256 * 2);
     // Sanity: the inline representation really was in play (no spill).
     assert_eq!(word.num_words(), 1);
+}
+
+#[test]
+fn frame_chunks_after_the_first_allocate_nothing() {
+    let _serial = serial();
+    // A single-outcome Clifford circuit with a mid-circuit measurement, a
+    // conditional Pauli and a reset: every frame path, one counts node.
+    let mut qc = Circuit::new(24, 24);
+    qc.x(0).h(5).h(5).measure(0, 0);
+    qc.cond_gate(Gate::X, &[1], 0, true);
+    for q in 1..23 {
+        qc.cx(q, q + 1);
+    }
+    qc.reset(3).measure_all();
+    let exec = ExecutorConfig::new()
+        .backend(BackendChoice::Tableau)
+        .build();
+    let run = |shots: u64| {
+        let counts = exec.try_run(&qc, shots, 7).expect("Clifford circuit");
+        assert_eq!(counts.distinct_outcomes(), 1);
+        assert_eq!(counts.shots(), shots);
+    };
+    run(64);
+    let one_word = min_allocations(|| run(64));
+    let four_chunks = min_allocations(|| run(4 * SHOT_CHUNK));
+    assert_eq!(
+        one_word, four_chunks,
+        "a 4-chunk frame run allocated {four_chunks} times, a 64-shot run {one_word}"
+    );
 }

@@ -709,18 +709,26 @@ fn handle_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Result
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut line = String::new();
+    // Bytes of the line being read. A timeout leaves a partial line here,
+    // so a request split across slow writes is kept, not dropped; the
+    // buffer is cleared only once a whole line has been handled.
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
+        match reader.read_until(b'\n', &mut line) {
+            // `read == 0` is a hang-up; any bytes still buffered are its
+            // unterminated last line.
+            Ok(read) => {
+                let text = std::str::from_utf8(&line)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+                if !text.trim().is_empty() {
+                    let response = server.handle_line(text.trim_end());
+                    writeln!(writer, "{response}")?;
+                    writer.flush()?;
                 }
-                let response = server.handle_line(line.trim_end());
-                writeln!(writer, "{response}")?;
-                writer.flush()?;
+                line.clear();
+                if read == 0 {
+                    return Ok(());
+                }
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock

@@ -7,12 +7,16 @@
 //!   re-execution (the `executed` gauge does not move).
 //! * A full queue refuses promptly with a typed `queue_full` error —
 //!   backpressure is load shedding, never a hang.
+//! * A request whose bytes arrive over TCP with a pause longer than the
+//!   connection's read timeout is still read whole.
 
 use qsim::exec::ExecutorConfig;
 use qsim::job::JobSpec;
 use qugen_serve::codec::Json;
 use qugen_serve::proto::counts_to_json;
 use qugen_serve::server::{Server, ServerConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -199,4 +203,42 @@ fn per_job_backend_overrides_ride_the_wire() {
         refused.get("sim").unwrap().get("code").unwrap().as_str(),
         Some("qubit_cap")
     );
+}
+
+#[test]
+fn a_request_split_across_a_slow_write_is_read_whole() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    let server = Arc::new(Server::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    }));
+    let accept_loop = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve_tcp(listener))
+    };
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    // Half a submit, then a pause past the server's 100 ms read timeout,
+    // then the rest.
+    let submit = submit_line(1, 64, 3);
+    let (head, tail) = submit.split_at(submit.len() / 2);
+    stream.write_all(head.as_bytes()).expect("write head");
+    stream.flush().expect("flush head");
+    std::thread::sleep(Duration::from_millis(350));
+    writeln!(stream, "{tail}").expect("write tail");
+    stream.flush().expect("flush tail");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("read response");
+    let response = parse(response.trim_end());
+    assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response:?}");
+    writeln!(stream, "{{\"op\":\"shutdown\"}}").expect("write shutdown");
+    stream.flush().expect("flush shutdown");
+    let mut bye = String::new();
+    reader.read_line(&mut bye).expect("read shutdown reply");
+    drop(stream);
+    accept_loop
+        .join()
+        .expect("accept loop exits")
+        .expect("accept loop ok");
 }
