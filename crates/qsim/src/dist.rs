@@ -51,13 +51,22 @@ impl Counts {
     /// outcome has not been seen before — the shot-loop hot path, letting
     /// callers reuse one scratch word across a whole trajectory chunk.
     pub fn record_word(&mut self, outcome: &OutcomeWord) {
+        self.record_word_n(outcome, 1);
+    }
+
+    /// Records `n` shots of one borrowed outcome word (cloning it only
+    /// when it has not been seen before); `n = 0` records nothing.
+    pub fn record_word_n(&mut self, outcome: &OutcomeWord, n: u64) {
+        if n == 0 {
+            return;
+        }
         match self.table.get_mut(outcome) {
-            Some(count) => *count += 1,
+            Some(count) => *count += n,
             None => {
-                self.table.insert(outcome.clone(), 1);
+                self.table.insert(outcome.clone(), n);
             }
         }
-        self.shots += 1;
+        self.shots += n;
     }
 
     /// Total shots recorded.
@@ -361,10 +370,38 @@ impl WordSampler {
     /// so distributions that sum to slightly less than 1 sample without
     /// bias toward the last outcome.
     pub fn draw(&self, rng: &mut impl Rng) -> &OutcomeWord {
+        &self.words[self.draw_index(rng)]
+    }
+
+    /// The table index of one draw (the same variate [`WordSampler::draw`]
+    /// consumes).
+    fn draw_index(&self, rng: &mut impl Rng) -> usize {
         let total = self.cumulative[self.cumulative.len() - 1];
         let r = rng.gen::<f64>() * total;
         let i = self.cumulative.partition_point(|&c| c <= r);
-        &self.words[i.min(self.words.len() - 1)]
+        i.min(self.words.len() - 1)
+    }
+
+    /// Draws `shots` outcomes into `counts` — the same draws, in the same
+    /// order, as `shots` calls of [`WordSampler::draw`] — tallied per table
+    /// entry first, so the counts table takes one update per distinct
+    /// outcome instead of one per shot. `tally` is caller-owned scratch,
+    /// reused across calls.
+    pub fn sample_into(
+        &self,
+        shots: u64,
+        rng: &mut impl Rng,
+        tally: &mut Vec<u64>,
+        counts: &mut Counts,
+    ) {
+        tally.clear();
+        tally.resize(self.words.len(), 0);
+        for _ in 0..shots {
+            tally[self.draw_index(rng)] += 1;
+        }
+        for (word, &n) in self.words.iter().zip(tally.iter()) {
+            counts.record_word_n(word, n);
+        }
     }
 }
 

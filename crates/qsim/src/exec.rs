@@ -6,12 +6,15 @@
 //! [`Executor`] prepares each job once and then runs its shot chunks on
 //! one of four paths (the `path` label of its `executor/job` trace span):
 //!
-//! * `sampling` — noiseless dense and MPS circuits: whole outcome words
-//!   drawn from an exact distribution computed once;
+//! * `sampling` — noiseless dense and MPS circuits, and noisy dense
+//!   circuits that measure only at the end and fit the amplitude budget:
+//!   whole outcome words drawn from an exact distribution computed once
+//!   (for noisy circuits, from one density-matrix evolution,
+//!   [`crate::density`]);
 //! * `frames` — every tableau job: one noiseless reference run, then
 //!   Pauli frames propagated 64 shots per word ([`crate::frame`]);
-//! * `noisy_replay` — noisy dense circuits: precompiled kernel segments
-//!   replayed per shot;
+//! * `noisy_replay` — noisy dense circuits that are dynamic or over the
+//!   budget: precompiled kernel segments replayed per shot;
 //! * `trajectory` — one engine trajectory per shot, for noisy MPS runs,
 //!   dynamic dense circuits past the branch budget and tableau circuits
 //!   with a non-Pauli conditional gate.
@@ -28,6 +31,7 @@
 //! single-threaded run for every `n`.
 
 use crate::backend::{self, BackendChoice, BackendKind, BackendState, SimError};
+use crate::density::DensityProgram;
 use crate::dist::{Counts, Distribution, WordSampler};
 use crate::frame::{FramePlan, FrameScratch};
 use crate::job::JobSpec;
@@ -54,8 +58,9 @@ struct ExecMetrics {
     shots: &'static Counter,
     chunks: &'static Counter,
     batches: &'static Counter,
-    /// Exact distribution computations (measure-at-end readouts and
-    /// branch enumerations); sampled fallbacks count as ordinary jobs.
+    /// Exact distribution computations (measure-at-end readouts, branch
+    /// enumerations and noisy density evolutions); sampled fallbacks
+    /// count as ordinary jobs.
     distributions: &'static Counter,
     /// Noiseless dense circuits whose branch enumeration exceeded
     /// [`plan::BRANCH_AMPLITUDE_BUDGET`] and fell back to sampling.
@@ -99,6 +104,12 @@ fn exec_metrics() -> &'static ExecMetrics {
 
 /// Shots per RNG chunk (see the module docs on determinism).
 pub const SHOT_CHUNK: u64 = 1024;
+
+/// Minimum shot chunks per worker when drawing from a word table. A chunk
+/// of 1024 draws takes ~10 µs, less than spawning a worker: on a 2-core
+/// x86-64 host, 32768-shot jobs ran faster on one thread than on two, and
+/// 262144-shot jobs faster on two.
+const WORD_CHUNKS_PER_WORKER: usize = 32;
 
 /// Default cap on the truncation error an MPS run may accumulate before
 /// the executor refuses its counts with
@@ -372,6 +383,25 @@ impl Executor {
             .get_or_compile_noisy(circuit, &self.config.noise)
     }
 
+    /// The exact outcome distribution of `circuit` under this executor's
+    /// noise model, from one density-matrix evolution, plus the density
+    /// program's op count; `None` outside [`DensityProgram::compile`]'s
+    /// rule. The program depends on the noise rates, so it is compiled
+    /// per call and never cached.
+    fn noisy_distribution(&self, circuit: &Circuit) -> Option<(Distribution, usize)> {
+        let program = DensityProgram::compile(circuit, &self.config.noise)?;
+        let span = trace::span("executor", "distribution")
+            .label("path", "density")
+            .int("qubits", circuit.num_qubits() as i128)
+            .int("ops", program.ops().len() as i128);
+        let dist = program.distribution();
+        if tmetrics::enabled() {
+            exec_metrics().distributions.inc();
+        }
+        span.int("ok", 1).finish();
+        Some((dist, program.ops().len()))
+    }
+
     /// A snapshot of this executor's plan cache counters. With
     /// [`PlanCacheMode::Shared`] (the default) these cover every sharing
     /// executor in the process, not just this one.
@@ -512,7 +542,12 @@ impl Executor {
                         let counts = locals[t].get_or_insert_with(|| Counts::new(task.num_clbits));
                         match &task.plan {
                             BatchPlan::Sampling(sampler) => {
-                                sample_chunk(sampler, chunk_shots, &mut rng, counts)
+                                let ctx =
+                                    states[t].get_or_insert_with(|| WorkerCtx::Tally(Vec::new()));
+                                let WorkerCtx::Tally(tally) = ctx else {
+                                    unreachable!("sampling tasks only build tally contexts")
+                                };
+                                sample_chunk(sampler, tally, chunk_shots, &mut rng, counts)
                             }
                             BatchPlan::Frames(plan) => {
                                 let ctx = states[t]
@@ -638,37 +673,52 @@ impl Executor {
     ) -> Result<BatchTask<'c>, SimError> {
         let kind = backend::resolve(choice, circuit)?;
         let sampling_ok = !self.config.noise.is_noisy() && measures_only_at_end(circuit);
-        let plan = match kind {
+        let (plan, ops) = match kind {
             BackendKind::Dense if sampling_ok => {
                 let plan = self.plan_for(circuit);
                 let mut sv = StateVector::zero(circuit.num_qubits());
                 plan.apply_unitary(&mut sv);
-                BatchPlan::Sampling(Sampler::Dense {
+                let sampler = Sampler::Dense {
                     sv,
                     measure_map: plan.measure_map().to_vec(),
-                })
+                };
+                (BatchPlan::Sampling(sampler), plan.ops().len())
             }
             // Noiseless dense circuits with mid-circuit measurement,
             // conditionals or resets: whole classical words drawn from the
             // exact branch distribution, or per-shot engine trajectories
             // when the branches exceed the amplitude budget.
             BackendKind::Dense if !self.config.noise.is_noisy() => {
-                match self.plan_for(circuit).branch_distribution() {
-                    Some(dist) => BatchPlan::Sampling(Sampler::Words(WordSampler::new(&dist))),
+                let plan = self.plan_for(circuit);
+                match plan.branch_distribution() {
+                    Some(dist) => (
+                        BatchPlan::Sampling(Sampler::Words(WordSampler::new(&dist))),
+                        plan.ops().len(),
+                    ),
                     None => {
                         exec_metrics().branch_fallbacks.inc();
-                        BatchPlan::Trajectory { kind, circuit }
+                        (BatchPlan::Trajectory { kind, circuit }, circuit.len())
                     }
                 }
             }
-            // Noisy dense circuits: gate kernels are precompiled once into
-            // segments split at the live noise attachment sites and
-            // replayed per shot — bit-identical (state, clbits, RNG
-            // stream) to per-gate dispatch, minus the per-shot
-            // classification cost. Fusion would reassociate the noise
-            // channels, so this path precompiles dispatch, not algebra.
-            BackendKind::Dense => BatchPlan::NoisyReplay {
-                plan: self.noisy_plan_for(circuit),
+            // Noisy dense circuits: whole classical words drawn from the
+            // exact noisy distribution of one density-matrix evolution
+            // when the circuit measures only at the end and ρ fits the
+            // amplitude budget (see `crate::density`). Dynamic circuits
+            // and circuits past the budget replay precompiled kernel
+            // segments per shot, split at the live noise sites —
+            // bit-identical (state, clbits, RNG stream) to per-gate
+            // dispatch.
+            BackendKind::Dense => match self.noisy_distribution(circuit) {
+                Some((dist, ops)) => (
+                    BatchPlan::Sampling(Sampler::Words(WordSampler::new(&dist))),
+                    ops,
+                ),
+                None => {
+                    let plan = self.noisy_plan_for(circuit);
+                    let ops = plan.ops().len();
+                    (BatchPlan::NoisyReplay { plan }, ops)
+                }
             },
             // Basis words are multi-word `OutcomeWord`s, so measure-at-end
             // MPS circuits keep the O(n·χ²)-per-shot sampling fast path at
@@ -677,24 +727,29 @@ impl Executor {
             BackendKind::Mps { max_bond } if sampling_ok => {
                 let (state, measure_map) = evolve_mps_prefix(circuit, max_bond);
                 check_truncation(budget, max_bond, state.truncation_error())?;
-                BatchPlan::Sampling(Sampler::Mps {
+                let sampler = Sampler::Mps {
                     mps: state.into_sampler(),
                     measure_map,
-                })
+                };
+                (BatchPlan::Sampling(sampler), circuit.len())
             }
             // Clifford circuits on the tableau: one noiseless reference
             // run, then Pauli frames for 64 shots per word — unless a
             // conditional gate is not a Pauli, which needs per-shot
             // trajectories (see `crate::frame`).
             BackendKind::Tableau => match FramePlan::new(circuit, seed) {
-                Some(plan) => BatchPlan::Frames(plan),
-                None => BatchPlan::Trajectory { kind, circuit },
+                Some(plan) => {
+                    let ops = plan.num_ops();
+                    (BatchPlan::Frames(plan), ops)
+                }
+                None => (BatchPlan::Trajectory { kind, circuit }, circuit.len()),
             },
-            _ => BatchPlan::Trajectory { kind, circuit },
+            _ => (BatchPlan::Trajectory { kind, circuit }, circuit.len()),
         };
         Ok(BatchTask {
             plan,
             kind,
+            ops,
             num_qubits: circuit.num_qubits(),
             num_clbits: circuit.num_clbits(),
             shots,
@@ -708,16 +763,29 @@ impl Executor {
     /// seeding, so their counts are bit-identical).
     fn run_task(&self, task: &BatchTask) -> Result<Counts, SimError> {
         match &task.plan {
+            // Word tables give each worker at least `WORD_CHUNKS_PER_WORKER`
+            // chunks, so jobs under 2 × 32 chunks draw on the calling
+            // thread. The thread count never changes counts.
             BatchPlan::Sampling(sampler) => Ok(self.chunked_counts(
+                match sampler {
+                    Sampler::Words(_) => {
+                        let chunks = task.shots.div_ceil(SHOT_CHUNK) as usize;
+                        (chunks / WORD_CHUNKS_PER_WORKER).clamp(1, self.config.threads.max(1))
+                    }
+                    _ => self.config.threads,
+                },
                 task.num_clbits,
                 task.shots,
                 task.seed,
-                || (),
-                |(), chunk_shots, rng, counts| sample_chunk(sampler, chunk_shots, rng, counts),
-                |()| {},
+                Vec::new,
+                |tally, chunk_shots, rng, counts| {
+                    sample_chunk(sampler, tally, chunk_shots, rng, counts)
+                },
+                |_| {},
                 &AtomicBool::new(false),
             )),
             BatchPlan::Frames(plan) => Ok(self.chunked_counts(
+                self.config.threads,
                 task.num_clbits,
                 task.shots,
                 task.seed,
@@ -729,6 +797,7 @@ impl Executor {
                 &AtomicBool::new(false),
             )),
             BatchPlan::NoisyReplay { plan } => Ok(self.chunked_counts(
+                self.config.threads,
                 task.num_clbits,
                 task.shots,
                 task.seed,
@@ -758,6 +827,7 @@ impl Executor {
             .label("backend", task.kind.name())
             .label("path", task.plan.path())
             .int("qubits", task.num_qubits as i128)
+            .int("ops", task.ops as i128)
             .int("shots", task.shots as i128)
             .int("chunks", chunks as i128);
         let start = Instant::now();
@@ -795,6 +865,7 @@ impl Executor {
         let worst_truncation = Mutex::new(0.0f64);
         let cancel = AtomicBool::new(false);
         let counts = self.chunked_counts(
+            self.config.threads,
             circuit.num_clbits(),
             shots,
             seed,
@@ -844,7 +915,7 @@ impl Executor {
     }
 
     /// Partitions `shots` into [`SHOT_CHUNK`]-sized chunks and runs them on
-    /// up to `self.threads` workers. `make_ctx` builds one reusable
+    /// up to `threads` workers. `make_ctx` builds one reusable
     /// per-worker context (e.g. a simulator state), `run_chunk` executes one
     /// chunk with a chunk-seeded RNG and records its shots into the
     /// worker's counts table, and `retire` observes each context
@@ -866,6 +937,7 @@ impl Executor {
     #[allow(clippy::too_many_arguments)]
     fn chunked_counts<C, M, F, R>(
         &self,
+        threads: usize,
         num_clbits: usize,
         shots: u64,
         seed: u64,
@@ -882,7 +954,7 @@ impl Executor {
         let num_chunks = shots.div_ceil(SHOT_CHUNK) as usize;
         let chunk_shots = |i: usize| (shots - i as u64 * SHOT_CHUNK).min(SHOT_CHUNK);
         let mut merged = Counts::new(num_clbits);
-        let threads = self.config.threads.min(num_chunks);
+        let threads = threads.min(num_chunks);
         if threads <= 1 {
             let mut ctx = make_ctx();
             for i in 0..num_chunks {
@@ -1109,9 +1181,10 @@ enum BatchPlan<'c> {
     /// Pauli-frame sampling on the tableau: the noiseless reference sample
     /// taken once, shared read-only; chunks propagate 64 shots per word.
     Frames(FramePlan),
-    /// Monte-Carlo path on a noisy replay plan: dense circuits under a
-    /// noisy model replay precompiled kernel segments between noise
-    /// insertion points, bit-identical to per-gate dispatch.
+    /// Monte-Carlo path on a noisy replay plan: noisy dense circuits the
+    /// exact density path declines (dynamic, or over the budget) replay
+    /// precompiled kernel segments between noise insertion points,
+    /// bit-identical to per-gate dispatch.
     NoisyReplay { plan: Arc<NoisyPlan> },
     /// Monte-Carlo path: each worker lazily builds its own state per task.
     Trajectory {
@@ -1137,8 +1210,10 @@ enum Sampler {
         mps: MpsSampler,
         measure_map: Vec<(usize, usize)>,
     },
-    /// Classical words of a noiseless dynamic circuit's exact
-    /// [`CircuitPlan::branch_distribution`], drawn whole.
+    /// Classical words drawn whole from an exact distribution over
+    /// them: a noiseless dynamic circuit's
+    /// [`CircuitPlan::branch_distribution`], or a noisy measure-at-end
+    /// circuit's [`DensityProgram::distribution`].
     Words(WordSampler),
 }
 
@@ -1159,6 +1234,9 @@ struct BatchTask<'c> {
     plan: BatchPlan<'c>,
     /// The resolved backend (telemetry keys per-job wall time by it).
     kind: BackendKind,
+    /// Ops in the job's compiled program (plan, density program, frame
+    /// plan or replay plan; source ops for engine trajectories).
+    ops: usize,
     num_qubits: usize,
     num_clbits: usize,
     shots: u64,
@@ -1192,11 +1270,13 @@ fn check_truncation(budget: f64, max_bond: usize, error_bound: f64) -> Result<()
 
 /// Per-worker reusable simulation context in the batch loop: a boxed
 /// backend engine for engine trajectories, a bare state vector for noisy
-/// replays, or frame buffers for frame sampling.
+/// replays, frame buffers for frame sampling, or the per-outcome tally
+/// of word sampling.
 enum WorkerCtx {
     Engine(Box<dyn BackendState>),
     Dense(StateVector),
     Frame(FrameScratch),
+    Tally(Vec<u64>),
 }
 
 /// One chunk of noisy replay trajectories on a reusable state vector: the
@@ -1236,27 +1316,29 @@ fn evolve_mps_prefix(circuit: &Circuit, max_bond: usize) -> (MpsState, Vec<(usiz
 /// Draws one chunk of shots from `sampler` into `counts`. Basis words
 /// (bit `i` = qubit `i`) are packed into classical words through the
 /// measurement map, last writer winning when two measurements share a
-/// clbit; branch-table words are recorded as drawn. Both scratch words are
-/// reused across the chunk's shots, keeping ≤ 64-bit registers
+/// clbit; word-table draws are tallied per outcome in the worker's
+/// reusable `tally` and recorded once per distinct word. Both scratch
+/// words are reused across the chunk's shots, keeping ≤ 64-bit registers
 /// allocation-free.
-fn sample_chunk(sampler: &Sampler, chunk_shots: u64, rng: &mut StdRng, counts: &mut Counts) {
+fn sample_chunk(
+    sampler: &Sampler,
+    tally: &mut Vec<u64>,
+    chunk_shots: u64,
+    rng: &mut StdRng,
+    counts: &mut Counts,
+) {
+    let measure_map = match sampler {
+        Sampler::Words(table) => return table.sample_into(chunk_shots, rng, tally, counts),
+        Sampler::Dense { measure_map, .. } | Sampler::Mps { measure_map, .. } => measure_map,
+    };
     let mut basis = OutcomeWord::zero();
     let mut word = OutcomeWord::zero();
     for _ in 0..chunk_shots {
-        let measure_map = match sampler {
-            Sampler::Words(table) => {
-                counts.record_word(table.draw(rng));
-                continue;
-            }
-            Sampler::Dense { sv, measure_map } => {
-                basis.assign_u64(sv.sample(rng) as u64);
-                measure_map
-            }
-            Sampler::Mps { mps, measure_map } => {
-                mps.sample_into(rng, &mut basis);
-                measure_map
-            }
-        };
+        match sampler {
+            Sampler::Dense { sv, .. } => basis.assign_u64(sv.sample(rng) as u64),
+            Sampler::Mps { mps, .. } => mps.sample_into(rng, &mut basis),
+            Sampler::Words(_) => unreachable!("word tables returned above"),
+        }
         word.clear();
         for &(q, c) in measure_map {
             word.set_bit(c, basis.bit(q));
@@ -1303,10 +1385,7 @@ pub fn sample_distribution(dist: &Distribution, n: u64, seed: u64) -> Counts {
         return counts;
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let table = WordSampler::new(dist);
-    for _ in 0..n {
-        counts.record_word(table.draw(&mut rng));
-    }
+    WordSampler::new(dist).sample_into(n, &mut rng, &mut Vec::new(), &mut counts);
     counts
 }
 
@@ -2101,6 +2180,15 @@ mod tests {
             .try_run(&conditional_clifford(Gate::H), 1033, 1)
             .unwrap();
         Executor::ideal().try_run(&ghz(3), 1037, 1).unwrap();
+        // Noisy dense jobs: measure-at-end circuits sample the exact
+        // density-matrix distribution, dynamic ones replay per shot.
+        let noisy = Executor::with_noise(crate::profiles::ibm_brisbane_like());
+        noisy.try_run(&ghz(5), 1039, 1).unwrap();
+        let mut dynamic = Circuit::new(2, 2);
+        dynamic.h(0).t(0).measure(0, 0);
+        dynamic.cond_gate(Gate::X, &[1], 0, true);
+        dynamic.measure(1, 1);
+        noisy.try_run(&dynamic, 1049, 1).unwrap();
         trace::disable();
         let lines = buffer.lock().unwrap().clone();
         let job = |shots: &str| {
@@ -2110,6 +2198,20 @@ mod tests {
                 .unwrap_or_else(|| panic!("no job span with {shots}"))
                 .clone()
         };
+        for shots in [1031, 1033, 1037, 1039, 1049] {
+            let span = job(&format!("\"shots\":{shots}"));
+            assert!(span.contains("\"ops\":"), "{span}");
+        }
+        let density = job("\"shots\":1039");
+        assert!(density.contains("\"path\":\"sampling\""), "{density}");
+        assert!(
+            lines.iter().any(|l| l.contains("\"name\":\"distribution\"")
+                && l.contains("\"path\":\"density\"")
+                && l.contains("\"qubits\":5")),
+            "no density distribution span"
+        );
+        let replay = job("\"shots\":1049");
+        assert!(replay.contains("\"path\":\"noisy_replay\""), "{replay}");
         let frames = job("\"shots\":1031");
         assert!(frames.contains("\"path\":\"frames\""), "{frames}");
         assert!(frames.contains("\"qubits\":13"), "{frames}");

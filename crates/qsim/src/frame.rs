@@ -207,6 +207,12 @@ impl FramePlan {
         })
     }
 
+    /// Number of compiled frame ops (gates, measurements, resets,
+    /// conditionals and live noise sites) each chunk walks.
+    pub fn num_ops(&self) -> usize {
+        self.ops.len()
+    }
+
     /// Fresh frame buffers sized for this plan.
     pub fn scratch(&self) -> FrameScratch {
         let blocks = self.num_clbits.div_ceil(64).max(1);

@@ -22,7 +22,8 @@
 //! * [`mps`] — a matrix-product-state simulator with bounded bond
 //!   dimension χ and truncated-SVD two-site updates, for low-entanglement
 //!   *non-Clifford* circuits past the dense qubit cap.
-//! * [`noise`] — Monte-Carlo Pauli/readout noise channels and the
+//! * [`noise`] — Pauli/readout noise channels (applied exactly on a
+//!   density matrix or sampled per trajectory) and the
 //!   [`noise::NoiseModel`] aggregate.
 //! * [`profiles`] — named noise profiles, including the IBM-Brisbane-like
 //!   profile used by the Figure 4 reproduction.
@@ -34,17 +35,23 @@
 //!   ([`plan::CircuitPlan::branch_distribution`]): the exact outcome
 //!   distribution of a noiseless circuit with mid-circuit measurement,
 //!   resets or classical conditionals, from one evolution.
-//! * [`replay`] — the noisy twin of [`plan`]: per-gate kernels
-//!   precompiled once and replayed in segments between noise insertion
-//!   points, bit-identical to per-gate dispatch.
+//! * [`density`] — exact noisy distributions for small dense circuits:
+//!   one density matrix, stored as a `2n`-qubit state vector, evolved
+//!   through the plan's fusion pass and kernels, with every noise channel
+//!   a 4×4 Pauli channel op.
+//! * [`replay`] — noisy per-shot trajectories for the dense circuits the
+//!   density path declines (dynamic ones, or ρ past the budget): per-gate
+//!   kernels precompiled once and replayed in segments between noise
+//!   insertion points, bit-identical to per-gate dispatch.
 //! * [`exec`] — the circuit executor, configured through the typed
-//!   [`exec::ExecutorConfig`]. Noiseless dense circuits, dynamic ones
-//!   included, sample shots from an exact distribution computed once
-//!   from the cached plan; noisy dense circuits replay precompiled
-//!   segments per shot; tableau runs sample Pauli frames against one
-//!   reference run; noisy MPS runs, dynamic circuits past the branch
-//!   budget and tableau circuits with a non-Pauli conditional gate run
-//!   one engine trajectory per shot.
+//!   [`exec::ExecutorConfig`]. Dense circuits sample shots from an exact
+//!   distribution computed once — from the cached plan when noiseless
+//!   (dynamic ones included), from a density-matrix evolution when noisy
+//!   and measured only at the end; other noisy dense circuits replay
+//!   precompiled segments per shot; tableau runs sample Pauli frames
+//!   against one reference run; noisy MPS runs, dynamic circuits past the
+//!   branch budget and tableau circuits with a non-Pauli conditional gate
+//!   run one engine trajectory per shot.
 //! * [`job`] — the typed job vocabulary ([`job::JobSpec`] /
 //!   [`job::JobStatus`] / [`job::JobResult`]) shared by in-process batch
 //!   calls, the `qugen-serve` daemon and future shard coordinators, with
@@ -72,6 +79,7 @@
 //! ```
 
 pub mod backend;
+pub mod density;
 pub mod dist;
 pub mod exec;
 pub mod frame;

@@ -1,11 +1,19 @@
-//! Monte-Carlo noise channels.
+//! Pauli noise channels.
 //!
 //! Noise is modelled the way hardware calibration data reports it: a
 //! depolarizing probability per one- and two-qubit gate, an idle decay
-//! probability, and a readout (measurement assignment) error. Channels are
-//! sampled per trajectory — with probability `p` a uniformly random
-//! non-identity Pauli is applied to the gate's qubits — which converges to
-//! the depolarizing channel in the shot average.
+//! probability, and a readout (measurement assignment) error. Every channel
+//! is a Pauli channel. The executor applies them in one of two ways:
+//!
+//! * exactly, as operators on one density matrix ([`crate::density`]), for
+//!   noisy dense circuits that measure only at the end and fit the
+//!   amplitude budget;
+//! * sampled per trajectory everywhere else (dynamic or wide dense
+//!   circuits, Pauli frames, MPS). With probability `p` a uniformly random
+//!   non-identity Pauli is applied to each of the gate's qubits, which
+//!   converges to the depolarizing channel in the shot average.
+//!
+//! The `sample_*` methods below define the semantics both ways share.
 
 use qcir::gate::Gate;
 use rand::Rng;

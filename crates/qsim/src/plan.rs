@@ -59,12 +59,16 @@
 //! [`CircuitPlan::fusion_declined`] and per cache through
 //! [`PlanCacheStats::fusion_declined`].
 //!
-//! Plans encode **noiseless** semantics: Pauli noise channels attach
-//! per-gate and per-barrier, which fusion would silently reassociate, so
-//! the executor drives noisy dense runs through [`crate::replay`] instead:
-//! per-gate kernels precompiled once and replayed in segments between
-//! noise insertion points, bit-identical to classified per-gate dispatch.
-//! The [`PlanCache`] memoizes those too ([`PlanCache::get_or_compile_noisy`]).
+//! Plans encode **noiseless** semantics. Noisy measure-at-end circuits get
+//! their own fused program over a `2n`-qubit density matrix
+//! ([`crate::density`]), built from the same lowering, fusion pass and
+//! kernels, with each noise channel a 4×4 op. Noisy circuits that path
+//! declines (dynamic ones, or ρ over the budget) run per-shot
+//! trajectories through [`crate::replay`]: per-gate kernels precompiled
+//! once and replayed in segments between noise insertion points,
+//! bit-identical to classified per-gate dispatch. The [`PlanCache`]
+//! memoizes replay plans too ([`PlanCache::get_or_compile_noisy`]);
+//! density programs depend on the noise rates and are never cached.
 //!
 //! # Cache keying and invalidation
 //!
@@ -369,6 +373,136 @@ impl PlannedOp {
             PlannedOp::DenseK { qubits, .. } => qubits.iter().copied().for_each(f),
             PlannedOp::Cond { op, .. } => op.for_each_qubit(f),
         }
+    }
+
+    /// The element-wise complex conjugate of a unitary op, moved up by
+    /// `shift` qubits: `U ↦ U*` on qubits `q + shift`. A density matrix
+    /// stored as a `2n`-qubit vector (ket bits low, bra bits high) evolves
+    /// under `U` as the ket op followed by this copy with `shift = n`
+    /// (see [`crate::density`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Measure`, `Reset` and `Cond`, which have no unitary
+    /// conjugate.
+    pub(crate) fn conj_shifted(&self, shift: usize) -> PlannedOp {
+        match self {
+            PlannedOp::Diag1 { qubit, d } => PlannedOp::Diag1 {
+                qubit: qubit + shift,
+                d: d.map(C64::conj),
+            },
+            PlannedOp::FlipX { qubit } => PlannedOp::FlipX {
+                qubit: qubit + shift,
+            },
+            PlannedOp::Dense1 { qubit, m } => PlannedOp::Dense1 {
+                qubit: qubit + shift,
+                m: m.map(C64::conj),
+            },
+            PlannedOp::Diag2 { hi, lo, d } => PlannedOp::Diag2 {
+                hi: hi + shift,
+                lo: lo + shift,
+                d: d.map(C64::conj),
+            },
+            PlannedOp::CFlipX { control, target } => PlannedOp::CFlipX {
+                control: control + shift,
+                target: target + shift,
+            },
+            PlannedOp::CDense1 { control, target, m } => PlannedOp::CDense1 {
+                control: control + shift,
+                target: target + shift,
+                m: m.map(C64::conj),
+            },
+            PlannedOp::Swap { a, b } => PlannedOp::Swap {
+                a: a + shift,
+                b: b + shift,
+            },
+            PlannedOp::Dense2 { hi, lo, m } => PlannedOp::Dense2 {
+                hi: hi + shift,
+                lo: lo + shift,
+                m: Box::new(m.map(C64::conj)),
+            },
+            PlannedOp::Dense3 { q2, q1, q0, m } => PlannedOp::Dense3 {
+                q2: q2 + shift,
+                q1: q1 + shift,
+                q0: q0 + shift,
+                m: Box::new(m.map(C64::conj)),
+            },
+            PlannedOp::Ccx { c0, c1, target } => PlannedOp::Ccx {
+                c0: c0 + shift,
+                c1: c1 + shift,
+                target: target + shift,
+            },
+            PlannedOp::CSwap { control, a, b } => PlannedOp::CSwap {
+                control: control + shift,
+                a: a + shift,
+                b: b + shift,
+            },
+            PlannedOp::DenseK { qubits, matrix } => {
+                let dim = matrix.dim();
+                let entries: Vec<C64> = (0..dim * dim)
+                    .map(|k| matrix.get(k / dim, k % dim).conj())
+                    .collect();
+                PlannedOp::DenseK {
+                    qubits: qubits.iter().map(|q| q + shift).collect(),
+                    matrix: qcir::math::Matrix::from_rows(dim, &entries),
+                }
+            }
+            PlannedOp::Measure { .. } | PlannedOp::Reset { .. } | PlannedOp::Cond { .. } => {
+                unreachable!("only unitary ops have a conjugate")
+            }
+        }
+    }
+
+    /// The row-major 4×4 of a two-qubit op, oriented `hi = max`, `lo =
+    /// min` (the fusion pass's convention); `None` for every other arity.
+    fn dense4(&self) -> Option<(usize, usize, [C64; 16])> {
+        let mut m = [C64::ZERO; 16];
+        let (hi, lo) = match self {
+            PlannedOp::Dense2 { hi, lo, m } => return Some((*hi, *lo, **m)),
+            PlannedOp::Diag2 { hi, lo, d } => {
+                for (k, &x) in d.iter().enumerate() {
+                    m[k * 5] = x;
+                }
+                (*hi, *lo)
+            }
+            PlannedOp::Swap { a, b } => {
+                m[0] = o();
+                m[6] = o();
+                m[9] = o();
+                m[15] = o();
+                (*a.max(b), *a.min(b))
+            }
+            PlannedOp::CFlipX { control, target } => {
+                return PlannedOp::CDense1 {
+                    control: *control,
+                    target: *target,
+                    m: [z(), o(), o(), z()],
+                }
+                .dense4();
+            }
+            PlannedOp::CDense1 {
+                control,
+                target,
+                m: sub,
+            } => {
+                // Indices whose control bit is clear are untouched; the
+                // control-set pair carries `sub` on the target bit.
+                let (cbit, tbit) = if control > target { (2, 1) } else { (1, 2) };
+                for i in 0..4 {
+                    if i & cbit == 0 {
+                        m[i * 5] = o();
+                    }
+                }
+                for r in 0..2 {
+                    for c in 0..2 {
+                        m[(cbit | (r * tbit)) * 4 + (cbit | (c * tbit))] = sub[r * 2 + c];
+                    }
+                }
+                (*control.max(target), *control.min(target))
+            }
+            _ => return None,
+        };
+        Some((hi, lo, m))
     }
 }
 
@@ -723,7 +857,7 @@ fn split_branches(
 ///
 /// Panics (in the match) when handed `Measure`/`Reset`/`Cond`; callers
 /// route those through branch logic.
-fn apply_unitary_op(sv: &mut StateVector, op: &PlannedOp) {
+pub(crate) fn apply_unitary_op(sv: &mut StateVector, op: &PlannedOp) {
     match op {
         PlannedOp::DenseK { qubits, matrix } => sv.apply_matrix(matrix, qubits),
         PlannedOp::Diag1 { qubit, d } => {
@@ -796,7 +930,7 @@ impl Block {
 
 /// The fusion pass state: per-qubit ownership of pending blocks plus the
 /// emitted tail.
-struct Fuser {
+pub(crate) struct Fuser {
     emitted: Vec<PlannedOp>,
     /// `owner[q]` = arena index of the pending block holding qubit `q`.
     owner: Vec<Option<usize>>,
@@ -809,7 +943,7 @@ struct Fuser {
 }
 
 impl Fuser {
-    fn new(num_qubits: usize) -> Self {
+    pub(crate) fn new(num_qubits: usize) -> Self {
         Fuser {
             emitted: Vec::new(),
             owner: vec![None; num_qubits],
@@ -859,6 +993,28 @@ impl Fuser {
                     matrix: gate.matrix(),
                 });
             }
+        }
+    }
+
+    /// Routes one already-lowered op into the pending blocks: one- and
+    /// two-qubit ops fuse like gates (their matrices need not be unitary,
+    /// so density-matrix channels fuse too), a Toffoli or Fredkin composes
+    /// onto a pending triple on exactly its operands, and anything else
+    /// flushes its qubits and is emitted as-is.
+    pub(crate) fn push_op(&mut self, op: PlannedOp) {
+        match op {
+            PlannedOp::Diag1 { qubit, d } => self.push_1q(qubit, [d[0], z(), z(), d[1]]),
+            PlannedOp::FlipX { qubit } => self.push_1q(qubit, [z(), o(), o(), z()]),
+            PlannedOp::Dense1 { qubit, m } => self.push_1q(qubit, m),
+            PlannedOp::Ccx { c0, c1, target } if self.compose_perm3(&[c0, c1, target], ccx8) => {}
+            PlannedOp::CSwap { control, a, b } if self.compose_perm3(&[control, a, b], cswap8) => {}
+            other => match other.dense4() {
+                Some((hi, lo, m)) => self.push_2q(hi, lo, m),
+                None => {
+                    other.for_each_qubit(|q| self.flush_qubit(q));
+                    self.emitted.push(other);
+                }
+            },
         }
     }
 
@@ -1094,6 +1250,12 @@ impl Fuser {
         }
     }
 
+    /// Flushes every pending block and returns the emitted op list.
+    pub(crate) fn finish(mut self) -> Vec<PlannedOp> {
+        self.flush_all();
+        self.emitted
+    }
+
     /// Classifies and emits one pending block, releasing its qubits.
     fn flush_block(&mut self, idx: usize) {
         let block = self.blocks[idx].take().expect("flushed block is live");
@@ -1205,7 +1367,7 @@ fn controlled_op(control: usize, target: usize, sub: [C64; 4]) -> PlannedOp {
 
 /// Lowers one gate to a single planned op without fusion (the conditional-
 /// gate path). Returns `None` for the identity.
-fn lower_gate_solo(gate: Gate, qubits: &[usize]) -> Option<PlannedOp> {
+pub(crate) fn lower_gate_solo(gate: Gate, qubits: &[usize]) -> Option<PlannedOp> {
     match gate.kind() {
         GateKind::Identity => None,
         GateKind::Diagonal1 { d0, d1 } => Some(PlannedOp::Diag1 {

@@ -1,6 +1,13 @@
 //! Noisy-path replay plans: per-gate kernels precompiled once, replayed
 //! in segments between noise insertion points.
 //!
+//! Replay now serves only the noisy dense circuits the exact density path
+//! ([`crate::density`]) declines: dynamic circuits (mid-circuit
+//! measurement, resets, conditionals), circuits whose density matrix is
+//! over [`crate::plan::BRANCH_AMPLITUDE_BUDGET`], and circuits with a
+//! barrier carrying live idle noise between two measurements. Every other
+//! noisy dense job samples whole words from an exact distribution.
+//!
 //! The compiled plans in [`crate::plan`] encode noiseless semantics —
 //! fusion reassociates exactly the per-gate boundaries that Pauli noise
 //! channels attach to. That used to leave every noisy dense trajectory on

@@ -291,4 +291,41 @@ proptest! {
         prop_assert_eq!(&serial, &run(3));
         prop_assert_eq!(&serial, &run(4));
     }
+
+    /// The same property on the circuits that stay on noisy replay:
+    /// measure-at-end circuits now take the exact density path, so a
+    /// mid-circuit measurement and a conditional gate are spliced into
+    /// the same random circuits to keep replay's determinism covered.
+    #[test]
+    fn dynamic_noisy_replay_is_bit_identical_across_thread_counts(
+        n in 2usize..=5,
+        ops in arb_ops(10),
+        split in 0usize..=10,
+        seed in 0u64..1000,
+    ) {
+        let split = split.min(ops.len());
+        let mut qc = build_circuit(n, &ops[..split]);
+        qc.h(0).measure(0, 0);
+        qc.cond_gate(Gate::X, &[n - 1], 0, true);
+        for (gate, raw) in &ops[split..] {
+            qc.push_gate(*gate, &distinct_operands(raw, gate.num_qubits(), n));
+        }
+        qc.measure_all();
+        let mut noise = NoiseModel::uniform_depolarizing(0.03);
+        noise.idle_error = 0.01;
+        noise.readout_error = 0.02;
+        let run = |threads: usize| {
+            ExecutorConfig::new()
+                .noise(noise.clone())
+                .threads(threads)
+                .plan_cache(PlanCacheMode::Private)
+                .build()
+                .try_run(&qc, 2100, seed)
+                .unwrap()
+        };
+        let serial = run(1);
+        prop_assert_eq!(serial.shots(), 2100);
+        prop_assert_eq!(&serial, &run(3));
+        prop_assert_eq!(&serial, &run(4));
+    }
 }
