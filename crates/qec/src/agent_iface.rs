@@ -153,7 +153,7 @@ pub fn synthesize(
     // Repetition fallback: needs 2d-1 qubits (data + ancilla).
     let d_rep = device.num_qubits().div_ceil(2).min(7);
     let d_rep = if d_rep.is_multiple_of(2) {
-        d_rep - 1
+        d_rep.saturating_sub(1)
     } else {
         d_rep
     };
@@ -232,6 +232,18 @@ mod tests {
             synthesize(&device, 0.02, 3, 5),
             Err(SynthesisError::TooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn empty_device_is_too_small() {
+        let device = Topology::new("empty", 0, &[]);
+        assert_eq!(
+            synthesize(&device, 0.02, 5, 1),
+            Err(SynthesisError::TooSmall {
+                qubits: 0,
+                needed: 5
+            })
+        );
     }
 
     #[test]

@@ -26,15 +26,21 @@ impl LookupDecoder {
     pub fn new(code: &SurfaceCode) -> Self {
         assert_eq!(code.distance(), 3, "lookup decoder supports d=3 only");
         let n = code.num_data();
+        // Bit i of a qubit's mask: the qubit is on Z stabilizer i. A
+        // pattern's syndrome is the XOR of its qubits' masks.
+        let mut qubit_masks = vec![0u32; n];
+        for (i, stab) in code.z_stabilizers().iter().enumerate() {
+            for &q in &stab.support {
+                qubit_masks[q] ^= 1 << i;
+            }
+        }
         let mut table: HashMap<u32, u32> = HashMap::new();
         for pattern in 0u32..(1 << n) {
-            let errors: Vec<bool> = (0..n).map(|q| (pattern >> q) & 1 == 1).collect();
-            let syndrome = code.z_syndrome(&errors);
             let mut mask = 0u32;
-            for (i, &bit) in syndrome.iter().enumerate() {
-                if bit {
-                    mask |= 1 << i;
-                }
+            let mut rest = pattern;
+            while rest != 0 {
+                mask ^= qubit_masks[rest.trailing_zeros() as usize];
+                rest &= rest - 1;
             }
             let entry = table.entry(mask).or_insert(pattern);
             if pattern.count_ones() < entry.count_ones() {
@@ -72,6 +78,34 @@ impl Decoder for LookupDecoder {
 mod tests {
     use super::*;
     use crate::decoder::graph::DecodingGraph;
+
+    /// Reference oracle: the table from one `SurfaceCode::z_syndrome`
+    /// vector per pattern.
+    fn reference_table(code: &SurfaceCode) -> HashMap<u32, u32> {
+        let n = code.num_data();
+        let mut table: HashMap<u32, u32> = HashMap::new();
+        for pattern in 0u32..(1 << n) {
+            let errors: Vec<bool> = (0..n).map(|q| (pattern >> q) & 1 == 1).collect();
+            let syndrome = code.z_syndrome(&errors);
+            let mut mask = 0u32;
+            for (i, &bit) in syndrome.iter().enumerate() {
+                if bit {
+                    mask |= 1 << i;
+                }
+            }
+            let entry = table.entry(mask).or_insert(pattern);
+            if pattern.count_ones() < entry.count_ones() {
+                *entry = pattern;
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn mask_table_equals_the_syndrome_vector_construction() {
+        let code = SurfaceCode::new(3);
+        assert_eq!(LookupDecoder::new(&code).table, reference_table(&code));
+    }
 
     #[test]
     fn table_covers_every_syndrome() {

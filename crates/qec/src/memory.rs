@@ -25,8 +25,10 @@ use qsim::backend::{BackendChoice, SimError};
 use qsim::dist::Counts;
 use qsim::exec::ExecutorConfig;
 use qsim::noise::NoiseModel;
+use qugen_telemetry::trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Which decoder implementation to use in an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,6 +102,14 @@ impl MemoryResult {
 
 /// Code-capacity experiment: i.i.d. X errors with probability `p`, one
 /// perfect syndrome measurement, decode, count logical X flips.
+///
+/// Each trial makes exactly `num_data` `rng.gen_bool(p)` draws, one per
+/// data qubit in qubit order, so a seed fixes the error patterns. The
+/// trial loop touches only the flipped qubits: their graph endpoints give
+/// the syndrome, and each distinct syndrome is decoded once per call (the
+/// empty one before the loop, the rest on first sight). A trial fails
+/// when the flipped qubits and the correction together overlap the
+/// logical Z support an odd number of times.
 pub fn code_capacity_experiment(
     d: usize,
     p: f64,
@@ -107,26 +117,65 @@ pub fn code_capacity_experiment(
     trials: usize,
     seed: u64,
 ) -> MemoryResult {
+    let span = trace::span("qec", "code_capacity")
+        .int("distance", d as i128)
+        .int("trials", trials as i128);
     let code = SurfaceCode::new(d);
     let graph = DecodingGraph::code_capacity_x(&code);
     let decoder = kind.build(&code, graph.clone());
+    let n = code.num_data();
+    // One edge per data qubit: the code-capacity graph has no others.
+    debug_assert_eq!(graph.edges().len(), n);
+    let mut endpoints = vec![(0, None); n];
+    for e in graph.edges() {
+        if let Some(q) = e.qubit {
+            endpoints[q] = (e.a, e.b);
+        }
+    }
+    let mut on_logical = vec![false; n];
+    for q in code.logical_z() {
+        on_logical[q] = true;
+    }
+    let odd_on_logical =
+        |qubits: &[usize]| qubits.iter().filter(|&&q| on_logical[q]).count() % 2 == 1;
+    let empty = decoder.decode(&[]);
+    debug_assert!(clears_syndrome(&code, &[], &empty));
+    let empty_odd = odd_on_logical(&empty.qubit_flips);
+    let mut memo: HashMap<Vec<usize>, Correction> = HashMap::new();
+    let mut flipped: Vec<usize> = Vec::new();
+    let mut flagged: Vec<usize> = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut failures = 0usize;
     for _ in 0..trials {
-        let mut errors = vec![false; code.num_data()];
-        for e in errors.iter_mut() {
+        flipped.clear();
+        flagged.clear();
+        for (q, &(a, b)) in endpoints.iter().enumerate() {
             if rng.gen_bool(p) {
-                *e = true;
+                flipped.push(q);
+                toggle_sorted(&mut flagged, a);
+                if let Some(b) = b {
+                    toggle_sorted(&mut flagged, b);
+                }
             }
         }
-        let flagged = graph.syndrome_of(&errors);
-        let correction = decoder.decode(&flagged);
-        correction.apply(&mut errors);
-        debug_assert!(code.z_syndrome(&errors).iter().all(|&b| !b));
-        if code.is_logical_x_flip(&errors) {
+        let correction_odd = if flagged.is_empty() {
+            empty_odd
+        } else if let Some(correction) = memo.get(flagged.as_slice()) {
+            odd_on_logical(&correction.qubit_flips)
+        } else {
+            let correction = decoder.decode(&flagged);
+            debug_assert!(clears_syndrome(&code, &flipped, &correction));
+            let odd = odd_on_logical(&correction.qubit_flips);
+            memo.insert(flagged.clone(), correction);
+            odd
+        };
+        if odd_on_logical(&flipped) != correction_odd {
             failures += 1;
         }
     }
+    span.int("decodes", memo.len() as i128)
+        .int("failures", failures as i128)
+        .finish();
     MemoryResult {
         distance: d,
         p_physical: p,
@@ -134,6 +183,26 @@ pub fn code_capacity_experiment(
         trials,
         decoder: kind.name(),
     }
+}
+
+/// Toggles `node` in the sorted set `nodes`.
+fn toggle_sorted(nodes: &mut Vec<usize>, node: usize) {
+    match nodes.binary_search(&node) {
+        Ok(i) => {
+            nodes.remove(i);
+        }
+        Err(i) => nodes.insert(i, node),
+    }
+}
+
+/// Whether `correction` clears the Z syndrome of X errors on `flipped`.
+fn clears_syndrome(code: &SurfaceCode, flipped: &[usize], correction: &Correction) -> bool {
+    let mut residual = vec![false; code.num_data()];
+    for &q in flipped {
+        residual[q] = true;
+    }
+    correction.apply(&mut residual);
+    code.z_syndrome(&residual).iter().all(|&b| !b)
 }
 
 /// Phenomenological experiment: `rounds` rounds of noisy syndrome
@@ -263,6 +332,95 @@ pub fn decode_once(code: &SurfaceCode, kind: DecoderKind, errors: &[bool]) -> Co
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference oracle: a dense error vector, a full syndrome scan and a
+    /// fresh decode every trial, from the same RNG stream.
+    fn reference_code_capacity(
+        d: usize,
+        p: f64,
+        kind: DecoderKind,
+        trials: usize,
+        seed: u64,
+    ) -> MemoryResult {
+        let code = SurfaceCode::new(d);
+        let graph = DecodingGraph::code_capacity_x(&code);
+        let decoder = kind.build(&code, graph.clone());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut failures = 0usize;
+        for _ in 0..trials {
+            let mut errors = vec![false; code.num_data()];
+            for e in errors.iter_mut() {
+                if rng.gen_bool(p) {
+                    *e = true;
+                }
+            }
+            let flagged = graph.syndrome_of(&errors);
+            let correction = decoder.decode(&flagged);
+            correction.apply(&mut errors);
+            assert!(code.z_syndrome(&errors).iter().all(|&b| !b));
+            if code.is_logical_x_flip(&errors) {
+                failures += 1;
+            }
+        }
+        MemoryResult {
+            distance: d,
+            p_physical: p,
+            p_logical: failures as f64 / trials as f64,
+            trials,
+            decoder: kind.name(),
+        }
+    }
+
+    #[test]
+    fn memoized_loop_is_bit_identical_to_the_per_trial_reference() {
+        for d in [3, 5, 7, 9] {
+            for kind in DecoderKind::ALL {
+                if kind == DecoderKind::Lookup && d != 3 {
+                    continue;
+                }
+                for p in [0.0, 1e-3, 0.02, 0.1, 0.35] {
+                    for seed in 0..4 {
+                        let fast = code_capacity_experiment(d, p, kind, 800, seed);
+                        let slow = reference_code_capacity(d, p, kind, 800, seed);
+                        assert_eq!(
+                            fast.p_logical.to_bits(),
+                            slow.p_logical.to_bits(),
+                            "d={d} {} p={p} seed={seed}",
+                            kind.name()
+                        );
+                        assert_eq!(fast, slow);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn code_capacity_span_reports_decodes_and_failures() {
+        // A trial count no other test uses picks this call's span out of
+        // the process-wide capture.
+        let buffer = trace::install_capture();
+        let r = code_capacity_experiment(5, 0.02, DecoderKind::UnionFind, 3001, 1);
+        trace::disable();
+        let lines = buffer.lock().unwrap().clone();
+        let span = lines
+            .iter()
+            .find(|l| l.contains("\"name\":\"code_capacity\"") && l.contains("\"trials\":3001"))
+            .expect("no code_capacity span");
+        let failures = (r.p_logical * 3001.0).round() as i128;
+        assert!(span.contains("\"layer\":\"qec\""), "{span}");
+        assert!(span.contains("\"distance\":5"), "{span}");
+        assert!(span.contains(&format!("\"failures\":{failures}")), "{span}");
+        let decodes: i128 = span
+            .split("\"decodes\":")
+            .nth(1)
+            .and_then(|rest| rest.split([',', '}']).next())
+            .and_then(|n| n.parse().ok())
+            .expect("decodes field");
+        // Distinct non-empty syndromes: at least one at this rate, and far
+        // fewer than the ~1200 trials that see an error.
+        assert!(decodes > 0 && decodes < 600, "{span}");
+    }
 
     #[test]
     fn below_threshold_logical_beats_physical() {

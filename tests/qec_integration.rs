@@ -3,7 +3,7 @@
 
 use qugen::qec::agent_iface::{synthesize, CodeFamily};
 use qugen::qec::decoder::{Decoder, DecodingGraph, GreedyMatchingDecoder, UnionFindDecoder};
-use qugen::qec::memory::code_capacity_experiment;
+use qugen::qec::memory::{code_capacity_experiment, DecoderKind};
 use qugen::qec::surface::SurfaceCode;
 use qugen::qec::topology::Topology;
 use rand::rngs::StdRng;
@@ -117,4 +117,39 @@ fn heavy_hex_device_triggers_the_papers_topology_caveat() {
     let brisbane = Topology::ibm_brisbane_like();
     let spec = synthesize(&brisbane, 0.02, 3, 6).expect("synthesis");
     assert!(!spec.native_layout);
+}
+
+#[test]
+fn synthesis_estimates_are_pinned() {
+    // The code-capacity RNG stream is a contract (`num_data` draws per
+    // trial, in qubit order), so these estimates hold to the bit.
+    let grid = Topology::grid(7, 7);
+    let grid_pins: [f64; 5] = [4.615384615384616, 8.571428571428571, 7.5, 10.0, 12.0];
+    let brisbane = Topology::ibm_brisbane_like();
+    let brisbane_pins: [f64; 5] = [
+        2.857142857142857,
+        2.7272727272727275,
+        2.857142857142857,
+        2.857142857142857,
+        3.3333333333333335,
+    ];
+    for seed in 0..5u64 {
+        let spec = synthesize(&grid, 0.02, 5, seed).expect("grid synthesis");
+        assert_eq!(spec.family, CodeFamily::Surface { distance: 5 });
+        assert_eq!(spec.decoder, DecoderKind::UnionFind);
+        assert_eq!(
+            spec.estimated_lifetime_extension.to_bits(),
+            grid_pins[seed as usize].to_bits(),
+            "grid seed {seed}: {}",
+            spec.estimated_lifetime_extension
+        );
+        let spec = synthesize(&brisbane, 0.02, 3, seed).expect("brisbane synthesis");
+        assert_eq!(spec.decoder, DecoderKind::Lookup);
+        assert_eq!(
+            spec.estimated_lifetime_extension.to_bits(),
+            brisbane_pins[seed as usize].to_bits(),
+            "brisbane seed {seed}: {}",
+            spec.estimated_lifetime_extension
+        );
+    }
 }
