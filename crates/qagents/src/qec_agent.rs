@@ -4,7 +4,7 @@
 //! effect on a program's measured distribution. Mirroring the paper's
 //! Figure 4 methodology: corrections cannot be applied to physical qubits
 //! on IBM hardware, so the "after QEC" run re-simulates under the reduced
-//! effective error rate implied by the decoder's measured lifetime
+//! effective error rate implied by the decoder's exact lifetime
 //! extension.
 
 use qcir::circuit::Circuit;
@@ -101,13 +101,22 @@ impl QecAgent {
         &self.topology
     }
 
-    /// Synthesizes the decoder spec for the device.
+    /// Synthesizes the decoder spec for the device: a surface code of
+    /// distance at most 5 (the exact-enumeration cap of
+    /// [`synthesize`]) or a repetition fallback, with lifetime extension
+    /// `p / P_L(p)` from the exact code-capacity rate
+    /// `P_L(p) = Σ_w F_w · p^w · (1 − p)^(n − w)`.
+    ///
+    /// `_seed` is unused: the estimate is exact, so every seed returns
+    /// the same spec, bit for bit. It stays in the signature for callers
+    /// that seed every agent call.
     ///
     /// # Errors
     ///
-    /// Propagates [`SynthesisError`] for unusable devices.
-    pub fn synthesize_decoder(&self, seed: u64) -> Result<DecoderSpec, SynthesisError> {
-        synthesize(&self.topology, self.physical_rate, 5, seed)
+    /// Propagates [`SynthesisError`] for unusable devices and for a
+    /// calibration rate outside `[0, 1]`.
+    pub fn synthesize_decoder(&self, _seed: u64) -> Result<DecoderSpec, SynthesisError> {
+        synthesize(&self.topology, self.physical_rate, 5)
     }
 
     /// Runs `circuit` with and without the decoder's noise reduction.

@@ -3,13 +3,16 @@
 //! "uses the topology of the quantum device to generate a decoder" (§III-A)
 //! and its topology-specificity caveat (§IV-B).
 
-use crate::memory::{self, DecoderKind};
+use crate::memory::{DecoderKind, FailureTable, MAX_EXACT_DISTANCE};
 use crate::topology::Topology;
 use std::fmt;
 
 /// Why decoder synthesis failed for a device.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SynthesisError {
+    /// The physical rate is not a probability: non-finite or outside
+    /// `[0, 1]`.
+    InvalidRate { rate: f64 },
     /// Device graph is disconnected.
     Disconnected,
     /// Device cannot host even the smallest surface code; the spec falls
@@ -20,6 +23,12 @@ pub enum SynthesisError {
 impl fmt::Display for SynthesisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SynthesisError::InvalidRate { rate } => {
+                write!(
+                    f,
+                    "physical error rate {rate} is not a probability in [0, 1]"
+                )
+            }
             SynthesisError::Disconnected => write!(f, "device coupling graph is disconnected"),
             SynthesisError::TooSmall { qubits, needed } => {
                 write!(
@@ -57,7 +66,11 @@ pub struct DecoderSpec {
     /// (the paper's topology-specificity caveat: heavy-hex devices need
     /// embedding, captured here as `false`).
     pub native_layout: bool,
-    /// Estimated lifetime-extension factor at the calibration rate.
+    /// Lifetime-extension factor at the calibration rate: `p / P_L(p)`
+    /// with the exact code-capacity logical rate of the chosen code and
+    /// decoder (surface codes: [`FailureTable::logical_error_rate`];
+    /// repetition codes: the analytic majority-vote rate). Seed-free;
+    /// `f64::INFINITY` when `P_L(p) = 0`.
     pub estimated_lifetime_extension: f64,
     /// Physical rate the estimate was computed at.
     pub calibration_rate: f64,
@@ -97,27 +110,33 @@ impl fmt::Display for DecoderSpec {
 
 /// Synthesizes a decoder spec for `device` at physical rate `p`.
 ///
-/// Picks the largest surface-code distance (up to `max_distance`, odd)
-/// that fits the device, falling back to a repetition code for devices
-/// without a degree-4 grid region (heavy-hex). The lifetime-extension
-/// estimate is measured by a short Monte-Carlo memory experiment, not
-/// guessed.
+/// Picks the largest surface-code distance (up to `max_distance`, odd,
+/// capped at [`MAX_EXACT_DISTANCE`] = 5) that fits the device, falling
+/// back to a repetition code for devices without a degree-4 grid region
+/// (heavy-hex). The lifetime extension is `p / P_L(p)`, with the exact
+/// code-capacity logical rate
+/// `P_L(p) = Σ_w F_w · p^w · (1 − p)^(n − w)` read from the decoder's
+/// [`FailureTable`] (built once per process), so it does not depend on
+/// any seed. It is `f64::INFINITY` when `P_L(p) = 0`, e.g. at `p = 0`.
 ///
 /// # Errors
 ///
-/// Returns [`SynthesisError`] for disconnected or hopeless devices.
+/// Returns [`SynthesisError`] for a rate outside `[0, 1]` and for
+/// disconnected or hopeless devices.
 pub fn synthesize(
     device: &Topology,
     p: f64,
     max_distance: usize,
-    seed: u64,
 ) -> Result<DecoderSpec, SynthesisError> {
+    if !(0.0..=1.0).contains(&p) {
+        return Err(SynthesisError::InvalidRate { rate: p });
+    }
     if !device.is_connected() {
         return Err(SynthesisError::Disconnected);
     }
     // Largest odd d with 2d^2-1 qubits available and native layout support.
     let mut chosen: Option<(usize, bool)> = None;
-    let mut d = max_distance.max(3);
+    let mut d = max_distance.clamp(3, MAX_EXACT_DISTANCE);
     if d.is_multiple_of(2) {
         d -= 1;
     }
@@ -140,13 +159,13 @@ pub fn synthesize(
         } else {
             DecoderKind::UnionFind
         };
-        let result = memory::code_capacity_experiment(d, p, kind, 3000, seed);
+        let table = FailureTable::get(d, kind).expect("d <= 5 tables exist");
         return Ok(DecoderSpec {
             device: device.name().to_string(),
             family: CodeFamily::Surface { distance: d },
             decoder: kind,
             native_layout: native,
-            estimated_lifetime_extension: result.lifetime_extension(),
+            estimated_lifetime_extension: lifetime_extension(p, table.logical_error_rate(p)),
             calibration_rate: p,
         });
     }
@@ -159,18 +178,12 @@ pub fn synthesize(
     };
     if d_rep >= 3 {
         let code = crate::repetition::RepetitionCode::new(d_rep);
-        let p_logical = code.analytic_error_rate(p);
-        let extension = if p_logical > 0.0 {
-            p / p_logical
-        } else {
-            f64::INFINITY
-        };
         return Ok(DecoderSpec {
             device: device.name().to_string(),
             family: CodeFamily::Repetition { distance: d_rep },
             decoder: DecoderKind::Greedy,
             native_layout: true,
-            estimated_lifetime_extension: extension,
+            estimated_lifetime_extension: lifetime_extension(p, code.analytic_error_rate(p)),
             calibration_rate: p,
         });
     }
@@ -180,6 +193,15 @@ pub fn synthesize(
     })
 }
 
+/// `p / p_logical`, or infinity when the code never fails.
+fn lifetime_extension(p: f64, p_logical: f64) -> f64 {
+    if p_logical > 0.0 {
+        p / p_logical
+    } else {
+        f64::INFINITY
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +209,7 @@ mod tests {
     #[test]
     fn grid_device_gets_native_surface_code() {
         let device = Topology::grid(7, 7);
-        let spec = synthesize(&device, 0.02, 5, 1).expect("synthesis");
+        let spec = synthesize(&device, 0.02, 5).expect("synthesis");
         match spec.family {
             CodeFamily::Surface { distance } => assert!(distance >= 3),
             other => panic!("expected surface code, got {other:?}"),
@@ -199,7 +221,7 @@ mod tests {
     #[test]
     fn heavy_hex_is_swap_embedded() {
         let device = Topology::ibm_brisbane_like();
-        let spec = synthesize(&device, 0.02, 3, 2).expect("synthesis");
+        let spec = synthesize(&device, 0.02, 3).expect("synthesis");
         assert!(
             !spec.native_layout,
             "heavy-hex must be flagged as embedded: {spec}"
@@ -209,7 +231,7 @@ mod tests {
     #[test]
     fn tiny_device_falls_back_to_repetition() {
         let device = Topology::line(7);
-        let spec = synthesize(&device, 0.02, 3, 3).expect("synthesis");
+        let spec = synthesize(&device, 0.02, 3).expect("synthesis");
         match spec.family {
             CodeFamily::Repetition { distance } => assert!(distance >= 3),
             other => panic!("expected repetition fallback, got {other:?}"),
@@ -220,7 +242,7 @@ mod tests {
     fn disconnected_device_errors() {
         let device = Topology::new("split", 6, &[(0, 1), (2, 3), (4, 5)]);
         assert_eq!(
-            synthesize(&device, 0.02, 3, 4),
+            synthesize(&device, 0.02, 3),
             Err(SynthesisError::Disconnected)
         );
     }
@@ -229,7 +251,7 @@ mod tests {
     fn hopeless_device_errors() {
         let device = Topology::line(2);
         assert!(matches!(
-            synthesize(&device, 0.02, 3, 5),
+            synthesize(&device, 0.02, 3),
             Err(SynthesisError::TooSmall { .. })
         ));
     }
@@ -238,7 +260,7 @@ mod tests {
     fn empty_device_is_too_small() {
         let device = Topology::new("empty", 0, &[]);
         assert_eq!(
-            synthesize(&device, 0.02, 5, 1),
+            synthesize(&device, 0.02, 5),
             Err(SynthesisError::TooSmall {
                 qubits: 0,
                 needed: 5
@@ -249,8 +271,59 @@ mod tests {
     #[test]
     fn noise_reduction_factor_inverts_extension() {
         let device = Topology::grid(5, 5);
-        let spec = synthesize(&device, 0.03, 3, 6).expect("synthesis");
+        let spec = synthesize(&device, 0.03, 3).expect("synthesis");
         let f = spec.noise_reduction_factor();
         assert!(f <= 1.0 && f > 0.0, "factor {f}");
+    }
+
+    #[test]
+    fn rates_outside_the_unit_interval_are_rejected() {
+        let device = Topology::grid(7, 7);
+        for rate in [-0.1, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            match synthesize(&device, rate, 5) {
+                Err(SynthesisError::InvalidRate { rate: got }) => {
+                    assert_eq!(got.to_bits(), rate.to_bits())
+                }
+                other => panic!("rate {rate}: {other:?}"),
+            }
+        }
+        // The repetition fallback validates too.
+        assert!(matches!(
+            synthesize(&Topology::line(7), -0.1, 3),
+            Err(SynthesisError::InvalidRate { .. })
+        ));
+        assert!(synthesize(&device, 1.0, 5).is_ok());
+    }
+
+    #[test]
+    fn zero_rate_extends_lifetime_without_bound() {
+        for device in [
+            Topology::grid(7, 7),
+            Topology::ibm_brisbane_like(),
+            Topology::line(7),
+        ] {
+            let spec = synthesize(&device, 0.0, 5).expect("synthesis");
+            assert_eq!(spec.estimated_lifetime_extension, f64::INFINITY, "{spec}");
+            assert_eq!(spec.noise_reduction_factor(), 0.0);
+        }
+    }
+
+    #[test]
+    fn extension_is_the_exact_table_rate() {
+        let spec = synthesize(&Topology::grid(7, 7), 0.02, 5).expect("synthesis");
+        let table = FailureTable::get(5, DecoderKind::UnionFind).unwrap();
+        assert_eq!(
+            spec.estimated_lifetime_extension.to_bits(),
+            (0.02 / table.logical_error_rate(0.02)).to_bits()
+        );
+    }
+
+    #[test]
+    fn surface_distance_is_capped_at_the_exact_limit() {
+        // A 17x17 grid hosts d = 7 natively, but synthesis stops at 5.
+        let spec = synthesize(&Topology::grid(17, 17), 0.02, 9).expect("synthesis");
+        assert_eq!(spec.family, CodeFamily::Surface { distance: 5 });
+        let spec = synthesize(&Topology::grid(17, 17), 0.02, 4).expect("synthesis");
+        assert_eq!(spec.family, CodeFamily::Surface { distance: 3 });
     }
 }

@@ -26,14 +26,7 @@ impl LookupDecoder {
     pub fn new(code: &SurfaceCode) -> Self {
         assert_eq!(code.distance(), 3, "lookup decoder supports d=3 only");
         let n = code.num_data();
-        // Bit i of a qubit's mask: the qubit is on Z stabilizer i. A
-        // pattern's syndrome is the XOR of its qubits' masks.
-        let mut qubit_masks = vec![0u32; n];
-        for (i, stab) in code.z_stabilizers().iter().enumerate() {
-            for &q in &stab.support {
-                qubit_masks[q] ^= 1 << i;
-            }
-        }
+        let qubit_masks = code.z_syndrome_masks();
         let mut table: HashMap<u32, u32> = HashMap::new();
         for pattern in 0u32..(1 << n) {
             let mut mask = 0u32;

@@ -2,7 +2,8 @@
 //! distance, and the qubit-lifetime-extension factor the QEC agent reports.
 //!
 //! Three noise regimes, in increasing fidelity to hardware:
-//! [`code_capacity_experiment`] (i.i.d. data errors, perfect syndrome),
+//! [`code_capacity_experiment`] (i.i.d. data errors, perfect syndrome;
+//! its exact, seed-free counterpart for `d ≤ 5` is [`FailureTable`]),
 //! [`phenomenological_experiment`] (noisy syndrome rounds, classical
 //! sampling), and [`circuit_level_experiment`] — which lowers the code to
 //! an executable Clifford circuit ([`SurfaceCode::memory_circuit`]) and
@@ -29,6 +30,7 @@ use qugen_telemetry::trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Which decoder implementation to use in an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,6 +184,141 @@ pub fn code_capacity_experiment(
         p_logical: failures as f64 / trials as f64,
         trials,
         decoder: kind.name(),
+    }
+}
+
+/// The largest distance [`FailureTable`] supports: `d^2` data qubits must
+/// fit an exhaustive `2^(d^2)`-pattern walk.
+pub const MAX_EXACT_DISTANCE: usize = 5;
+
+/// Qubits whose patterns [`FailureTable`] enumerates once, grouped by
+/// weight, and joins with each pattern of the rest.
+const LOW_QUBITS: usize = 12;
+
+/// Exact code-capacity failure counts of one decoder: `counts()[w]` is
+/// `F_w`, the number of weight-`w` X-error patterns on the `n` data qubits
+/// that the decoder turns into a logical X flip.
+///
+/// `F_w` depends only on `(d, decoder)`, so the logical error rate under
+/// i.i.d. flips with probability `p` is the polynomial
+/// `P_L(p) = Σ_w F_w · p^w · (1 − p)^(n − w)` — the low-weight failure
+/// counting of Fowler, "Analytic asymptotic performance of topological
+/// codes" (PRA 87, 040301, 2013), done here over every weight, so there is
+/// no tail to bound and no seed.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FailureTable {
+    counts: Vec<u64>,
+}
+
+impl FailureTable {
+    /// The table for `(d, kind)`, built on first use and then shared by
+    /// the whole process. `None` unless `d` is 3 or 5
+    /// ([`MAX_EXACT_DISTANCE`]), with `Lookup` at `d = 3` only.
+    pub fn get(d: usize, kind: DecoderKind) -> Option<&'static FailureTable> {
+        static TABLES: [OnceLock<FailureTable>; 6] = [const { OnceLock::new() }; 6];
+        let slot = match (d, kind) {
+            (3, _) => kind as usize,
+            (5, DecoderKind::Greedy | DecoderKind::UnionFind) => 3 + kind as usize,
+            _ => return None,
+        };
+        Some(TABLES[slot].get_or_init(|| FailureTable::build(d, kind)))
+    }
+
+    /// Decodes each of the `2^m` syndromes once, keeping one bit per
+    /// syndrome (does its correction flip the logical?), then visits all
+    /// `2^n` patterns. A pattern fails when its logical parity differs
+    /// from its syndrome's bit. The visit splits the qubits: the patterns
+    /// of the first [`LOW_QUBITS`] are listed once, grouped by weight,
+    /// and the rest walk in Gray-code order, one qubit's syndrome mask and
+    /// parity per step; each step counts the failures of its join with
+    /// every low pattern, one weight group at a time.
+    fn build(d: usize, kind: DecoderKind) -> FailureTable {
+        let code = SurfaceCode::new(d);
+        let n = code.num_data();
+        let m = code.z_stabilizers().len();
+        let span = trace::span("qec", "failure_table")
+            .int("distance", d as i128)
+            .label("decoder", kind.name())
+            .int("syndromes", 1 << m)
+            .int("patterns", 1 << n);
+        // Z stabilizer i is graph node i, the decoders' flagged index.
+        let qubit_masks = code.z_syndrome_masks();
+        let mut on_logical = vec![false; n];
+        for q in code.logical_z() {
+            on_logical[q] = true;
+        }
+        let decoder = kind.build(&code, DecodingGraph::code_capacity_x(&code));
+        let mut flagged = Vec::with_capacity(m);
+        let flips_logical: Vec<bool> = (0..1u32 << m)
+            .map(|syndrome| {
+                flagged.clear();
+                flagged.extend((0..m).filter(|&i| syndrome >> i & 1 == 1));
+                let correction = decoder.decode(&flagged);
+                let (mask, odd) = correction
+                    .qubit_flips
+                    .iter()
+                    .fold((0, false), |(mask, odd), &q| {
+                        (mask ^ qubit_masks[q], odd ^ on_logical[q])
+                    });
+                debug_assert_eq!(
+                    mask,
+                    syndrome,
+                    "{} correction does not clear syndrome {syndrome:#x}",
+                    kind.name()
+                );
+                odd
+            })
+            .collect();
+        // The low `k` qubits' patterns, grouped by weight: (syndrome,
+        // logical parity) of each.
+        let k = n.min(LOW_QUBITS);
+        let mut low_by_weight = vec![Vec::new(); k + 1];
+        for low in 0u32..1 << k {
+            let (mut syndrome, mut parity) = (0u32, false);
+            for q in (0..k).filter(|&q| low >> q & 1 == 1) {
+                syndrome ^= qubit_masks[q];
+                parity ^= on_logical[q];
+            }
+            low_by_weight[low.count_ones() as usize].push((syndrome, parity));
+        }
+        // The high qubits walk in Gray-code order; each high pattern joins
+        // every low one.
+        let mut counts = vec![0u64; n + 1];
+        let (mut syndrome, mut parity) = (0u32, false);
+        for i in 0u32..1 << (n - k) {
+            if i > 0 {
+                // Step i of the Gray code flips bit `trailing_zeros(i)`.
+                let q = k + i.trailing_zeros() as usize;
+                syndrome ^= qubit_masks[q];
+                parity ^= on_logical[q];
+            }
+            let high_weight = (i ^ (i >> 1)).count_ones() as usize;
+            for (low_weight, group) in low_by_weight.iter().enumerate() {
+                let failures = group
+                    .iter()
+                    .filter(|&&(s, p)| p ^ parity != flips_logical[(s ^ syndrome) as usize])
+                    .count();
+                counts[high_weight + low_weight] += failures as u64;
+            }
+        }
+        span.finish();
+        FailureTable { counts }
+    }
+
+    /// `F_w` for `w = 0..=n`.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Exact logical error rate at physical rate `p`, summed in ascending
+    /// weight so the value is the same to the bit on every call.
+    pub fn logical_error_rate(&self, p: f64) -> f64 {
+        let n = self.counts.len() as i32 - 1;
+        self.counts
+            .iter()
+            .zip(0..)
+            .map(|(&f, w)| f as f64 * p.powi(w) * (1.0 - p).powi(n - w))
+            .sum()
     }
 }
 
@@ -395,8 +532,12 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that capture the process-wide trace sink.
+    static TRACE_SINK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn code_capacity_span_reports_decodes_and_failures() {
+        let _sink = TRACE_SINK.lock().unwrap();
         // A trial count no other test uses picks this call's span out of
         // the process-wide capture.
         let buffer = trace::install_capture();
@@ -420,6 +561,144 @@ mod tests {
         // Distinct non-empty syndromes: at least one at this rate, and far
         // fewer than the ~1200 trials that see an error.
         assert!(decodes > 0 && decodes < 600, "{span}");
+    }
+
+    /// Every `(d, kind)` pair [`FailureTable::get`] supports, with its
+    /// table.
+    fn supported_tables() -> Vec<(usize, DecoderKind, &'static FailureTable)> {
+        let mut tables = Vec::new();
+        for d in [3, 5] {
+            for kind in DecoderKind::ALL {
+                if let Some(table) = FailureTable::get(d, kind) {
+                    tables.push((d, kind, table));
+                }
+            }
+        }
+        tables
+    }
+
+    #[test]
+    fn failure_tables_cover_exactly_the_supported_pairs() {
+        let pairs: Vec<_> = supported_tables()
+            .iter()
+            .map(|&(d, kind, _)| (d, kind))
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                (3, DecoderKind::Lookup),
+                (3, DecoderKind::Greedy),
+                (3, DecoderKind::UnionFind),
+                (5, DecoderKind::Greedy),
+                (5, DecoderKind::UnionFind),
+            ]
+        );
+        assert!(FailureTable::get(7, DecoderKind::UnionFind).is_none());
+        assert!(FailureTable::get(4, DecoderKind::Greedy).is_none());
+    }
+
+    #[test]
+    fn d3_tables_match_decoding_every_pattern_from_scratch() {
+        let code = SurfaceCode::new(3);
+        let graph = DecodingGraph::code_capacity_x(&code);
+        for kind in DecoderKind::ALL {
+            let decoder = kind.build(&code, graph.clone());
+            let mut counts = vec![0u64; 10];
+            for pattern in 0u32..1 << 9 {
+                let mut errors: Vec<bool> = (0..9).map(|q| pattern >> q & 1 == 1).collect();
+                decoder
+                    .decode(&graph.syndrome_of(&errors))
+                    .apply(&mut errors);
+                assert!(code.z_syndrome(&errors).iter().all(|&b| !b));
+                if code.is_logical_x_flip(&errors) {
+                    counts[pattern.count_ones() as usize] += 1;
+                }
+            }
+            let table = FailureTable::get(3, kind).unwrap();
+            assert_eq!(table.counts(), counts, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn exactly_half_of_all_patterns_fail() {
+        // `e` and `e ⊕ X_L` share a syndrome, hence a correction, and
+        // differ in logical parity: exactly one of each pair fails.
+        for (d, kind, table) in supported_tables() {
+            let n = table.counts().len() - 1;
+            assert_eq!(n, d * d);
+            assert_eq!(
+                table.counts().iter().sum::<u64>(),
+                1 << (n - 1),
+                "d={d} {}",
+                kind.name()
+            );
+            // At p = 1/2 every pattern is equally likely.
+            assert_eq!(table.logical_error_rate(0.5), 0.5);
+            assert_eq!(table.logical_error_rate(1.0), table.counts()[n] as f64);
+        }
+    }
+
+    #[test]
+    fn correctable_weights_never_fail_and_counts_fit_their_weight_class() {
+        for (d, kind, table) in supported_tables() {
+            let n = table.counts().len() - 1;
+            let mut binomial = 1u64; // C(n, w), updated per weight
+            for (w, &f) in table.counts().iter().enumerate() {
+                if w > 0 {
+                    binomial = binomial * (n - w + 1) as u64 / w as u64;
+                }
+                let name = kind.name();
+                assert!(f <= binomial, "d={d} {name} F_{w}={f}");
+                if w < d.div_ceil(2) {
+                    assert_eq!(f, 0, "d={d} {name} fails weight {w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn d5_union_find_low_weight_counts_are_pinned() {
+        let table = FailureTable::get(5, DecoderKind::UnionFind).unwrap();
+        assert_eq!(table.counts()[..6], [0, 0, 0, 414, 4985, 26320]);
+        assert_eq!(table.logical_error_rate(0.0), 0.0);
+    }
+
+    #[test]
+    fn exact_rate_lies_within_five_sigma_of_a_200k_trial_monte_carlo() {
+        const TRIALS: usize = 200_000;
+        for (d, kind) in [(3, DecoderKind::Lookup), (5, DecoderKind::UnionFind)] {
+            let table = FailureTable::get(d, kind).unwrap();
+            for (seed, p) in [0.01, 0.02, 0.05].into_iter().enumerate() {
+                let exact = table.logical_error_rate(p);
+                let sampled = code_capacity_experiment(d, p, kind, TRIALS, seed as u64).p_logical;
+                let sigma = (exact * (1.0 - exact) / TRIALS as f64).sqrt();
+                assert!(
+                    (sampled - exact).abs() <= 5.0 * sigma,
+                    "d={d} {} p={p}: exact {exact}, sampled {sampled}, sigma {sigma}",
+                    kind.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn failure_table_span_reports_its_size() {
+        let _sink = TRACE_SINK.lock().unwrap();
+        // The shared tables may already be built by other tests, so build a
+        // private one under the capture.
+        let buffer = trace::install_capture();
+        let table = FailureTable::build(3, DecoderKind::Greedy);
+        trace::disable();
+        assert_eq!(Some(&table), FailureTable::get(3, DecoderKind::Greedy));
+        let lines = buffer.lock().unwrap().clone();
+        let span = lines
+            .iter()
+            .find(|l| l.contains("\"name\":\"failure_table\"") && l.contains("\"greedy-matching\""))
+            .expect("no failure_table span");
+        assert!(span.contains("\"layer\":\"qec\""), "{span}");
+        assert!(span.contains("\"distance\":3"), "{span}");
+        assert!(span.contains("\"syndromes\":16"), "{span}");
+        assert!(span.contains("\"patterns\":512"), "{span}");
     }
 
     #[test]

@@ -186,7 +186,7 @@ fn shortest_path(device: &Topology, from: usize, to: usize) -> Vec<usize> {
         if u == to {
             break;
         }
-        for v in device.neighbors(u) {
+        for &v in device.neighbors(u) {
             if prev[v] == usize::MAX {
                 prev[v] = u;
                 queue.push_back(v);

@@ -179,6 +179,25 @@ impl SurfaceCode {
             .collect()
     }
 
+    /// Per data qubit, the bitmask of the Z stabilizers it sits on (bit `i`
+    /// for [`SurfaceCode::z_stabilizers`] entry `i`): the syndrome of an
+    /// X-error pattern is the XOR of its qubits' masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the code has more than 32 Z stabilizers (`d > 7`).
+    pub(crate) fn z_syndrome_masks(&self) -> Vec<u32> {
+        let z_stabs = self.z_stabilizers();
+        assert!(z_stabs.len() <= 32, "syndrome masks need d <= 7");
+        let mut masks = vec![0u32; self.num_data()];
+        for (i, stab) in z_stabs.iter().enumerate() {
+            for &q in &stab.support {
+                masks[q] ^= 1 << i;
+            }
+        }
+        masks
+    }
+
     /// Computes the X-stabilizer syndrome of a Z-error pattern.
     pub fn x_syndrome(&self, z_errors: &[bool]) -> Vec<bool> {
         self.x_stabilizers()

@@ -15,6 +15,8 @@ pub struct Topology {
     name: String,
     num_qubits: usize,
     edges: BTreeSet<(usize, usize)>,
+    /// Neighbours of each qubit, ascending (derived from `edges`).
+    adjacency: Vec<Vec<usize>>,
 }
 
 impl Topology {
@@ -31,10 +33,19 @@ impl Topology {
             assert!(a < num_qubits && b < num_qubits, "edge out of range");
             set.insert((a.min(b), a.max(b)));
         }
+        // The set iterates (a, b) with a < b in ascending order, so each
+        // qubit's neighbours arrive ascending: first those below it, then
+        // those above.
+        let mut adjacency = vec![Vec::new(); num_qubits];
+        for &(a, b) in &set {
+            adjacency[a].push(b);
+            adjacency[b].push(a);
+        }
         Topology {
             name: name.into(),
             num_qubits,
             edges: set,
+            adjacency,
         }
     }
 
@@ -145,20 +156,13 @@ impl Topology {
         self.edges.iter().copied()
     }
 
-    /// Neighbours of `q`.
-    pub fn neighbors(&self, q: usize) -> Vec<usize> {
-        self.edges
-            .iter()
-            .filter_map(|&(a, b)| {
-                if a == q {
-                    Some(b)
-                } else if b == q {
-                    Some(a)
-                } else {
-                    None
-                }
-            })
-            .collect()
+    /// Neighbours of `q`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q >= num_qubits`.
+    pub fn neighbors(&self, q: usize) -> &[usize] {
+        &self.adjacency[q]
     }
 
     /// Degree of `q`.
@@ -184,7 +188,7 @@ impl Topology {
         seen[0] = true;
         let mut count = 1;
         while let Some(q) = queue.pop_front() {
-            for nb in self.neighbors(q) {
+            for &nb in self.neighbors(q) {
                 if !seen[nb] {
                     seen[nb] = true;
                     count += 1;
@@ -205,7 +209,7 @@ impl Topology {
         dist[from] = 0;
         let mut queue = VecDeque::from([from]);
         while let Some(q) = queue.pop_front() {
-            for nb in self.neighbors(q) {
+            for &nb in self.neighbors(q) {
                 if dist[nb] == usize::MAX {
                     dist[nb] = dist[q] + 1;
                     if nb == to {
@@ -313,6 +317,30 @@ mod tests {
         assert!(!Topology::ibm_brisbane_like().supports_surface_code(3));
         // Too few qubits.
         assert!(!Topology::grid(2, 2).supports_surface_code(3));
+    }
+
+    #[test]
+    fn neighbors_keep_the_edge_scan_order() {
+        for t in [
+            Topology::line(6),
+            Topology::grid(4, 5),
+            Topology::heavy_hex(3, 3),
+            Topology::ibm_brisbane_like(),
+            Topology::full(6),
+        ] {
+            for q in 0..t.num_qubits() {
+                // Reference: one pass over the sorted edge set.
+                let scanned: Vec<usize> = t
+                    .edges()
+                    .filter_map(|(a, b)| match (a == q, b == q) {
+                        (true, _) => Some(b),
+                        (_, true) => Some(a),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(t.neighbors(q), scanned, "{} qubit {q}", t.name());
+            }
+        }
     }
 
     #[test]

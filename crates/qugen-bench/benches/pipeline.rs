@@ -31,11 +31,11 @@ fn bench_pipeline(c: &mut Criterion) {
 }
 
 fn bench_qec_synthesis(c: &mut Criterion) {
-    use qec::agent_iface::synthesize;
+    use qagents::qec_agent::QecAgent;
     use qec::topology::Topology;
-    let device = Topology::grid(7, 7);
+    let agent = QecAgent::new(Topology::grid(7, 7), 0.02);
     c.bench_function("qec_decoder_synthesis_grid7", |b| {
-        b.iter(|| std::hint::black_box(synthesize(&device, 0.02, 3, 1).expect("synthesis")))
+        b.iter(|| std::hint::black_box(agent.synthesize_decoder(1).expect("synthesis")))
     });
 }
 
